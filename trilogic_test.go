@@ -4,13 +4,13 @@ import (
 	"testing"
 )
 
-// triLogicQueries are the three-valued-logic edge cases pinned against
-// both evaluators: NULL flowing through comparisons, connectives and
-// quantifiers, aggregates over empty and all-NULL multisets, and the
+// triLogicQueries are the three-valued-logic edge cases pinned by
+// testdata/trilogic.golden: NULL flowing through comparisons, connectives
+// and quantifiers, aggregates over empty and all-NULL multisets, and the
 // short-circuit behavior of and/or under Kleene logic (§4.3: "a
-// three-valued logic (True, False, Unknown) is used"). The compiled
-// closure programs and the reference tree walker must agree exactly —
-// on rows, on row order, and on errors.
+// three-valued logic (True, False, Unknown) is used"). Serial and
+// parallel execution must reproduce the golden exactly — rows, row order
+// and errors (see TestTriLogicGolden).
 var triLogicQueries = []string{
 	// NULL in arithmetic and comparisons: bonus is NULL for Ann Smith
 	// and Bob Stone, so salary + bonus is NULL and every comparison
@@ -58,48 +58,6 @@ var triLogicQueries = []string{
 
 	// Errors must agree too (ORDER BY inside structured output).
 	`From instructor Retrieve name, salary * "x".`,
-}
-
-// TestCompiledTreeWalkerEquality runs every tri-logic query through the
-// compiled evaluator and the reference tree walker, serial and parallel,
-// and requires byte-identical formatted results (or identical errors).
-func TestCompiledTreeWalkerEquality(t *testing.T) {
-	type mode struct {
-		name string
-		cfg  Config
-	}
-	modes := []mode{
-		{"compiled", Config{Workers: 1}},
-		{"compiled-parallel", Config{}},
-		{"tree-walker", Config{Workers: 1, TreeWalkEval: true}},
-		{"tree-walker-parallel", Config{TreeWalkEval: true}},
-	}
-	dbs := make([]*Database, len(modes))
-	for i, m := range modes {
-		dbs[i] = universityDB(t, m.cfg)
-	}
-	for _, q := range triLogicQueries {
-		ref, refErr := dbs[0].Query(q)
-		for i, m := range modes[1:] {
-			got, err := dbs[i+1].Query(q)
-			if (err == nil) != (refErr == nil) {
-				t.Errorf("%s: error mismatch for %q: compiled err=%v, %s err=%v", m.name, q, refErr, m.name, err)
-				continue
-			}
-			if refErr != nil {
-				if err.Error() != refErr.Error() {
-					t.Errorf("%s: %q: error text %q, want %q", m.name, q, err, refErr)
-				}
-				continue
-			}
-			if got.Format() != ref.Format() {
-				t.Errorf("%s: %q:\ngot:\n%s\nwant:\n%s", m.name, q, got.Format(), ref.Format())
-			}
-			if got.FormatStructured() != ref.FormatStructured() {
-				t.Errorf("%s: %q: structured output diverges", m.name, q)
-			}
-		}
-	}
 }
 
 // TestTriLogicPinned pins absolute answers for the trickiest cases so a

@@ -308,3 +308,37 @@ func TestRunTransactionBlocks(t *testing.T) {
 		t.Fatalf("nested BEGIN: %v, want error at statement 2", err)
 	}
 }
+
+// Update statements inside a transaction select and compute against the
+// transaction's own uncommitted writes: a later statement's WHERE reads a
+// value an earlier statement set, on the target itself and through an
+// EVA path, and a right-hand side reads it through the same path.
+func TestTxUpdateSeesOwnWrites(t *testing.T) {
+	db := universityDB(t, Config{})
+	ctx := context.Background()
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []struct {
+		dml  string
+		want int
+	}{
+		{`Modify instructor (salary := 61234) Where name = "Ann Smith".`, 1},
+		{`Modify instructor (bonus := 7) Where salary = 61234.`, 1},
+		{`Modify teaching-assistant (salary := salary of advisor + bonus of advisor) Where salary of advisor = 61234.`, 1},
+	} {
+		if n, err := tx.Exec(ctx, st.dml); n != st.want || err != nil {
+			t.Fatalf("%s: n=%d err=%v, want n=%d", st.dml, n, err, st.want)
+		}
+	}
+	r, err := tx.Query(ctx, `From teaching-assistant Retrieve name, salary.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, r, [][]string{{"Tina Aide", "61241"}})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, mustQuery(t, db, `From teaching-assistant Retrieve name, salary.`), [][]string{{"Tina Aide", "61241"}})
+}
