@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,36 +14,22 @@ import (
 // queries, and the affected counts, errors and final state of an update
 // script covering target selection, assignment right-hand sides, EVA
 // WITH filters and VERIFY. They were captured from the recursive
-// reference evaluator; every evaluator must reproduce them byte for byte.
+// reference evaluator that preceded the compiled programs, and are never
+// regenerated: the programs must reproduce them byte for byte.
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from the reference tree walker")
-
-// goldenModes are the configurations checked against the goldens. The
-// first entry is the one -update-golden records from.
+// goldenModes are the configurations checked against the goldens.
 var goldenModes = []struct {
 	name string
 	cfg  Config
 }{
-	{"tree-walker", Config{Workers: 1, TreeWalkEval: true}},
-	{"tree-walker-parallel", Config{TreeWalkEval: true}},
-	{"compiled", Config{Workers: 1}},
-	{"compiled-parallel", Config{}},
+	{"serial", Config{Workers: 1}},
+	{"parallel", Config{}},
 }
 
-// checkGolden compares got with testdata/name, or rewrites the file under
-// -update-golden when record is set.
-func checkGolden(t *testing.T, name, mode, got string, record bool) {
+// checkGolden compares got with testdata/name.
+func checkGolden(t *testing.T, name, mode, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	if *updateGolden && record {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -81,14 +66,14 @@ func renderQuery(b *strings.Builder, q string, res *Result, err error) {
 // default worker count and requires the golden rows, structured output
 // and error texts.
 func TestTriLogicGolden(t *testing.T) {
-	for i, m := range goldenModes {
+	for _, m := range goldenModes {
 		db := universityDB(t, m.cfg)
 		var b strings.Builder
 		for _, q := range triLogicQueries {
 			res, err := db.Query(q)
 			renderQuery(&b, q, res, err)
 		}
-		checkGolden(t, "trilogic.golden", m.name, b.String(), i == 0)
+		checkGolden(t, "trilogic.golden", m.name, b.String())
 	}
 }
 
@@ -208,8 +193,7 @@ func runUpdateScript(t *testing.T, db *Database) string {
 // default worker count and requires the golden counts, errors and final
 // state.
 func TestUpdateScriptGolden(t *testing.T) {
-	for i, m := range goldenModes {
-		db := universityDB(t, m.cfg)
-		checkGolden(t, "update_script.golden", m.name, runUpdateScript(t, db), i == 0)
+	for _, m := range goldenModes {
+		checkGolden(t, "update_script.golden", m.name, runUpdateScript(t, universityDB(t, m.cfg)))
 	}
 }

@@ -6,86 +6,66 @@ import (
 	"sim"
 )
 
-// T13 — compiled evaluator (this repo's zero-allocation executor): bound
-// query trees lowered to chains of typed closures, range-variable bindings
-// fed through batch-decoded records and reused domain buffers, output rows
-// carved from a result-owned arena. Measured against the retained
-// reference tree walker (Config.TreeWalkEval) on the T9 hot queries,
-// after verifying that compiled and walker output — serial and parallel —
-// are byte-identical.
+// T13 — compiled evaluator (this repo's only executor): bound query trees
+// lowered to chains of typed closures, range-variable bindings fed
+// through batch-decoded records and reused domain buffers, output rows
+// carved from a result-owned arena. Measured on the T9 hot queries after
+// verifying that serial and parallel output are byte-identical.
 func T13(w Workload, reps int) (*Table, error) {
 	t := &Table{
 		ID:     "T13",
-		Title:  "Compiled evaluator: closure programs + batched bindings vs reference tree walker",
-		Header: []string{"query", "evaluator", "time/query", "allocs/op", "B/op", "alloc reduction"},
-		Notes: "both evaluators implement §4.5 exactly; output is checked byte-identical\n" +
-			"(serial and parallel, both evaluators) before measuring. allocs/op counts\n" +
-			"one whole Query call on a warm plan cache: the walker allocates per node\n" +
-			"visit while the compiled path reuses pooled scratch, batch-decoded\n" +
-			"records and an arena, so its remaining allocations are the result rows.",
+		Title:  "Compiled evaluator: closure programs + batched bindings",
+		Header: []string{"query", "time/query", "allocs/op", "B/op"},
+		Notes: "output is checked byte-identical between serial and parallel execution\n" +
+			"before measuring. allocs/op counts one whole Query call on a warm plan\n" +
+			"cache: the program reuses pooled scratch, batch-decoded records and an\n" +
+			"arena, so its remaining allocations are the result rows. Rows for the\n" +
+			"former reference tree walker are historical (see EXPERIMENTS.md).",
 	}
 	queries := []struct{ name, q string }{
 		{"scan+eva", `From student Retrieve name, name of advisor.`},
 		{"point lookup", `From person Retrieve name Where soc-sec-no = 100000001.`},
 	}
 
-	// Four databases over one workload: {compiled, walker} x {serial,
-	// parallel}. The serial pair is measured; the parallel pair only backs
-	// the equality check.
-	modes := []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{"compiled", sim.Config{Workers: 1}},
-		{"tree-walker", sim.Config{Workers: 1, TreeWalkEval: true}},
-		{"compiled-parallel", sim.Config{}},
-		{"tree-walker-parallel", sim.Config{TreeWalkEval: true}},
+	// The serial database is measured; the parallel one only backs the
+	// equality check.
+	serial, err := BuildUniversity(sim.Config{Workers: 1}, w)
+	if err != nil {
+		return nil, fmt.Errorf("compiled: %w", err)
 	}
-	dbs := make([]*sim.Database, len(modes))
-	for i, m := range modes {
-		db, err := BuildUniversity(m.cfg, w)
+	defer serial.Close()
+	parallel, err := BuildUniversity(sim.Config{}, w)
+	if err != nil {
+		return nil, fmt.Errorf("compiled-parallel: %w", err)
+	}
+	defer parallel.Close()
+
+	for _, q := range queries {
+		ref, err := serial.Query(q.q)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.name, err)
+			return nil, fmt.Errorf("compiled %s: %w", q.name, err)
 		}
-		defer db.Close()
-		dbs[i] = db
-	}
-
-	for _, q := range queries {
-		var ref string
-		for i, m := range modes {
-			r, err := dbs[i].Query(q.q)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", m.name, q.name, err)
-			}
-			if i == 0 {
-				ref = r.Format()
-			} else if r.Format() != ref {
-				return nil, fmt.Errorf("T13: %s output diverged from compiled output on %s", m.name, q.name)
-			}
+		got, err := parallel.Query(q.q)
+		if err != nil {
+			return nil, fmt.Errorf("compiled-parallel %s: %w", q.name, err)
+		}
+		if got.Format() != ref.Format() {
+			return nil, fmt.Errorf("T13: parallel output diverged from serial output on %s", q.name)
 		}
 	}
 
 	for _, q := range queries {
-		var walkerAllocs int64
-		for _, i := range []int{1, 0} { // walker first, so the compiled row can report its reduction
-			m := modes[i]
-			db, stmt := dbs[i], q.q
-			row, err := measureMem(fmt.Sprintf("%s %s", q.name, m.name),
-				func() error { _, err := db.Query(stmt); return err })
-			if err != nil {
-				return nil, err
-			}
-			t.Mem = append(t.Mem, row)
-			reduction := "1.00x"
-			if m.name == "tree-walker" {
-				walkerAllocs = row.AllocsPerOp
-			} else if row.AllocsPerOp > 0 {
-				reduction = fmt.Sprintf("%.1fx", float64(walkerAllocs)/float64(row.AllocsPerOp))
-			}
-			t.Rows = append(t.Rows, []string{q.name, m.name, fmtNs(row.NsPerOp),
-				fmt.Sprint(row.AllocsPerOp), fmt.Sprint(row.BytesPerOp), reduction})
+		stmt := q.q
+		// The "compiled" suffix keys the row to its committed baseline
+		// for -check-allocs.
+		row, err := measureMem(q.name+" compiled",
+			func() error { _, err := serial.Query(stmt); return err })
+		if err != nil {
+			return nil, err
 		}
+		t.Mem = append(t.Mem, row)
+		t.Rows = append(t.Rows, []string{q.name, fmtNs(row.NsPerOp),
+			fmt.Sprint(row.AllocsPerOp), fmt.Sprint(row.BytesPerOp)})
 	}
 	return t, nil
 }

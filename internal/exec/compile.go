@@ -15,9 +15,10 @@ import (
 // hot loop then runs no type switches, no fmt formatting and no query-tree
 // traversal — it calls a chain of funcs whose shapes were decided once per
 // statement (cached alongside the plan, so repeated DML text skips
-// compilation entirely). The recursive evaluator in eval.go is retained as
-// the reference semantics; the compiled path must agree with it exactly,
-// and the equality suite in the root package enforces that.
+// compilation entirely). Programs are the only evaluator: Retrieve, update
+// target selection, assignment right-hand sides, EVA WITH filters and
+// VERIFY assertions all run on them. The golden files in the root
+// package's testdata pin their output.
 
 // evalFn evaluates one compiled value expression against the scratch.
 type evalFn func(sc *scratch) (value.Value, error)
@@ -38,19 +39,18 @@ type subFn func(sc *scratch) (vals []value.Value, mark int, err error)
 // safe to share across concurrent executions of the same plan: all mutable
 // state lives in the per-execution scratch.
 type Program struct {
-	tree   *query.Tree
-	main   []*query.Node
-	exist  []*query.Node
-	doms   []domFn // by node id; set for main and existential nodes
-	target []evalFn
+	tree    *query.Tree
+	main    []*query.Node
+	exist   []*query.Node
+	doms    []domFn // by node id; set for main and existential nodes
+	target  []evalFn
 	orderBy []evalFn
-	where  triFn
-	nNodes int
+	where   triFn
+	nNodes  int
 }
 
-// Compile lowers a planned query into a Program. Constructs the compiler
-// does not understand return an error; callers fall back to the reference
-// tree-walker, which reproduces the same runtime behavior.
+// Compile lowers a planned query into a Program. It is total over bound
+// trees: an expression kind it does not know is an error, not a fallback.
 func (e *Executor) Compile(p *plan.Plan) (*Program, error) {
 	t := p.Tree
 	prog := &Program{
@@ -64,8 +64,8 @@ func (e *Executor) Compile(p *plan.Plan) (*Program, error) {
 		prog.doms[n.ID] = e.compileDomain(p, t, n)
 	}
 	for _, n := range prog.exist {
-		// The reference path enumerates existential domains with no plan
-		// (selectionHolds passes nil); mirror that.
+		// Existential domains enumerate without the plan: an existential
+		// root scans.
 		prog.doms[n.ID] = e.compileDomain(nil, t, n)
 	}
 	prog.target = make([]evalFn, len(t.Targets))
@@ -120,8 +120,8 @@ func (e *Executor) compileDomain(p *plan.Plan, t *query.Tree, n *query.Node) dom
 			if err != nil || !ok {
 				return buf, err
 			}
-			// Closure queries are rare; reuse the reference implementation
-			// and just batch the record prefetch for what it found.
+			// Closure queries are rare; batch just the record prefetch
+			// for what the walk found.
 			out, err := closureOver(sc.m, pit.surr, edge)
 			if err != nil {
 				return buf, err
@@ -222,8 +222,7 @@ func parentInst(sc *scratch, pid int, pn *query.Node) (inst, bool, error) {
 }
 
 // compileRootDomain resolves the planned access path for a perspective
-// root (or subquery-chain anchor, which always scans: the reference path
-// enumerates those with no plan).
+// root (or subquery-chain anchor, which always scans).
 func (e *Executor) compileRootDomain(p *plan.Plan, t *query.Tree, n *query.Node) domFn {
 	var access plan.RootAccess
 	if p != nil {
@@ -317,7 +316,9 @@ func (e *Executor) appendWithRole(sc *scratch, buf []inst, ss []value.Surrogate,
 // Expression compilation
 // ---------------------------------------------------------------------------
 
-// compileExpr mirrors eval case by case.
+// compileExpr lowers a value expression. NULL propagates per §4.9's
+// three-valued logic; boolean-valued subexpressions surface as boolean
+// values with NULL for unknown.
 func (e *Executor) compileExpr(t *query.Tree, x query.Expr) (evalFn, error) {
 	switch x := x.(type) {
 	case *query.Lit:
@@ -404,7 +405,7 @@ func (e *Executor) compileExpr(t *query.Tree, x query.Expr) (evalFn, error) {
 }
 
 // triAsValue wraps a boolean subexpression for value position: NULL for
-// unknown, a boolean value otherwise (eval's triValue).
+// unknown, a boolean value otherwise.
 func (e *Executor) triAsValue(t *query.Tree, x query.Expr) (evalFn, error) {
 	tf, err := e.compileTri(t, x)
 	if err != nil {
@@ -462,8 +463,8 @@ func (e *Executor) compileAttrRef(x *query.AttrRef) (evalFn, error) {
 	}, nil
 }
 
-// compileTri mirrors evalTri case by case, including its fallthrough into
-// general value conversion.
+// compileTri lowers a boolean expression to a Kleene truth value; other
+// expressions evaluate as values and convert when boolean.
 func (e *Executor) compileTri(t *query.Tree, x query.Expr) (triFn, error) {
 	switch x := x.(type) {
 	case *query.Unary:
@@ -618,8 +619,10 @@ func (e *Executor) compileTri(t *query.Tree, x query.Expr) (triFn, error) {
 	}, nil
 }
 
-// compileCmp mirrors evalCmp: comparisons with quantified operands
-// (§4.6/§4.9) fold the quantifier over the subquery's multiset.
+// compileCmp lowers comparisons. Quantified operands (§4.6/§4.9) fold the
+// quantifier over the subquery's multiset: x neq some(ys) holds when some
+// y satisfies x neq y; all(...) when every one does (vacuously true);
+// no(...) when none does.
 func (e *Executor) compileCmp(t *query.Tree, cmp value.Cmp, l, r query.Expr) (triFn, error) {
 	lq, lIsQ := l.(*query.Quant)
 	rq, rIsQ := r.(*query.Quant)
@@ -698,7 +701,7 @@ func (e *Executor) compileCmp(t *query.Tree, cmp value.Cmp, l, r query.Expr) (tr
 	}, nil
 }
 
-// applyQuant folds quantCompare's semantics over an already-collected
+// applyQuant folds a quantified comparison over an already-collected
 // multiset without allocating a per-row test closure. fixed is the
 // non-quantified operand; quantLeft places the multiset's values on the
 // comparison's left side.
@@ -744,9 +747,9 @@ func applyQuant(q ast.Quant, cmp value.Cmp, fixed value.Value, vals []value.Valu
 	}
 }
 
-// compileSub lowers a subquery chain (subValues): the collector enumerates
-// the chain through reused domain buffers and pushes the value
-// expression's non-NULL results onto sc.sub.
+// compileSub lowers a subquery chain: the collector enumerates the chain
+// through reused domain buffers and pushes the value expression's non-NULL
+// results onto sc.sub (NULLs excluded, the usual aggregate semantics).
 func (e *Executor) compileSub(t *query.Tree, sq *query.SubQuery) (subFn, error) {
 	vf, err := e.compileExpr(t, sq.Value)
 	if err != nil {
@@ -755,7 +758,7 @@ func (e *Executor) compileSub(t *query.Tree, sq *query.SubQuery) (subFn, error) 
 	nodes := sq.Chain
 	doms := make([]domFn, len(nodes))
 	for i, n := range nodes {
-		// subValues enumerates with no plan: chain anchors always scan.
+		// Chain anchors always scan.
 		doms[i] = e.compileDomain(nil, t, n)
 	}
 	var run func(sc *scratch, i int) error
@@ -796,8 +799,7 @@ func (e *Executor) compileSub(t *query.Tree, sq *query.SubQuery) (subFn, error) 
 	}, nil
 }
 
-// compileAgg pairs a compiled subquery collector with the shared aggregate
-// fold (aggregate in eval.go — one implementation for both paths).
+// compileAgg pairs a compiled subquery collector with the aggregate fold.
 func (e *Executor) compileAgg(t *query.Tree, a *query.Agg) (evalFn, error) {
 	sub, err := e.compileSub(t, a.Sub)
 	if err != nil {

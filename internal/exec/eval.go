@@ -4,88 +4,12 @@ import (
 	"fmt"
 
 	"sim/internal/ast"
-	"sim/internal/catalog"
 	"sim/internal/query"
 	"sim/internal/value"
 )
 
-// eval computes a bound expression's value under the current environment.
-// NULL propagates per §4.9's three-valued logic; boolean-valued
-// subexpressions surface as boolean values with NULL for unknown.
-func (e *Executor) eval(x query.Expr, en *env) (value.Value, error) {
-	switch x := x.(type) {
-	case *query.Lit:
-		return x.Val, nil
-	case *query.AttrRef:
-		return e.evalAttrRef(x, en)
-	case *query.EntityRef:
-		it, err := en.get(x.Node)
-		if err != nil {
-			return value.Null, err
-		}
-		if it.null {
-			return value.Null, nil
-		}
-		return value.NewSurrogate(it.surr), nil
-	case *query.ValueRef:
-		it, err := en.get(x.Node)
-		if err != nil {
-			return value.Null, err
-		}
-		if it.null {
-			return value.Null, nil
-		}
-		return it.val, nil
-	case *query.Unary:
-		if x.Op == ast.OpNot {
-			tri, err := e.evalTri(x, en)
-			if err != nil {
-				return value.Null, err
-			}
-			return triValue(tri), nil
-		}
-		v, err := e.eval(x.X, en)
-		if err != nil {
-			return value.Null, err
-		}
-		return value.OpSub.Apply(value.NewInt(0), v)
-	case *query.Binary:
-		switch x.Op {
-		case ast.OpAnd, ast.OpOr, ast.OpEQ, ast.OpNEQ, ast.OpLT, ast.OpLE,
-			ast.OpGT, ast.OpGE, ast.OpLike:
-			tri, err := e.evalTri(x, en)
-			if err != nil {
-				return value.Null, err
-			}
-			return triValue(tri), nil
-		}
-		l, err := e.eval(x.L, en)
-		if err != nil {
-			return value.Null, err
-		}
-		r, err := e.eval(x.R, en)
-		if err != nil {
-			return value.Null, err
-		}
-		return arith(x.Op).Apply(l, r)
-	case *query.Agg:
-		return e.evalAgg(x, en)
-	case *query.Isa:
-		tri, err := e.evalTri(x, en)
-		if err != nil {
-			return value.Null, err
-		}
-		return triValue(tri), nil
-	case *query.Quant:
-		tri, err := e.evalTri(x, en)
-		if err != nil {
-			return value.Null, err
-		}
-		return triValue(tri), nil
-	}
-	return value.Null, fmt.Errorf("exec: cannot evaluate %T", x)
-}
-
+// triValue converts a Kleene truth value for value position: a boolean,
+// or NULL for Unknown.
 func triValue(t value.Tri) value.Value {
 	switch t {
 	case value.True:
@@ -126,253 +50,8 @@ func cmpOf(op ast.BinaryOp) (value.Cmp, bool) {
 	return 0, false
 }
 
-// evalTri evaluates a boolean expression to a Kleene truth value.
-func (e *Executor) evalTri(x query.Expr, en *env) (value.Tri, error) {
-	switch x := x.(type) {
-	case *query.Unary:
-		if x.Op != ast.OpNot {
-			break
-		}
-		t, err := e.evalTri(x.X, en)
-		if err != nil {
-			return value.Unknown, err
-		}
-		return t.Not(), nil
-	case *query.Binary:
-		switch x.Op {
-		case ast.OpAnd:
-			l, err := e.evalTri(x.L, en)
-			if err != nil {
-				return value.Unknown, err
-			}
-			if l == value.False {
-				return value.False, nil // short-circuit
-			}
-			r, err := e.evalTri(x.R, en)
-			if err != nil {
-				return value.Unknown, err
-			}
-			return l.And(r), nil
-		case ast.OpOr:
-			l, err := e.evalTri(x.L, en)
-			if err != nil {
-				return value.Unknown, err
-			}
-			if l == value.True {
-				return value.True, nil
-			}
-			r, err := e.evalTri(x.R, en)
-			if err != nil {
-				return value.Unknown, err
-			}
-			return l.Or(r), nil
-		case ast.OpLike:
-			l, err := e.eval(x.L, en)
-			if err != nil {
-				return value.Unknown, err
-			}
-			r, err := e.eval(x.R, en)
-			if err != nil {
-				return value.Unknown, err
-			}
-			return value.Like(l, r)
-		}
-		if cmp, ok := cmpOf(x.Op); ok {
-			return e.evalCmp(cmp, x.L, x.R, en)
-		}
-	case *query.Isa:
-		it, err := en.get(x.Node)
-		if err != nil {
-			return value.Unknown, err
-		}
-		if it.null {
-			return value.Unknown, nil
-		}
-		ok, err := e.m.HasRole(it.surr, x.Class)
-		if err != nil {
-			return value.Unknown, err
-		}
-		return value.TriOf(ok), nil
-	case *query.Quant:
-		// Bare quantifier in boolean position: existence test.
-		vals, err := e.subValues(x.Sub, en)
-		if err != nil {
-			return value.Unknown, err
-		}
-		switch x.Quant {
-		case ast.QSome:
-			return value.TriOf(len(vals) > 0), nil
-		case ast.QNo:
-			return value.TriOf(len(vals) == 0), nil
-		}
-		return value.Unknown, fmt.Errorf("exec: ALL(...) needs a comparison")
-	}
-	// General case: evaluate as a value; a boolean value converts.
-	v, err := e.eval(x, en)
-	if err != nil {
-		return value.Unknown, err
-	}
-	switch {
-	case v.IsNull():
-		return value.Unknown, nil
-	case v.Kind() == value.KindBool:
-		return value.TriOf(v.Bool()), nil
-	}
-	return value.Unknown, fmt.Errorf("exec: expression is not boolean")
-}
-
-// evalCmp handles comparisons, including quantified operands (§4.6/§4.9):
-// x neq some(ys) holds when some y satisfies x neq y; all(...) when every
-// one does (vacuously true); no(...) when none does.
-func (e *Executor) evalCmp(cmp value.Cmp, l, r query.Expr, en *env) (value.Tri, error) {
-	lq, lIsQ := l.(*query.Quant)
-	rq, rIsQ := r.(*query.Quant)
-	switch {
-	case lIsQ && rIsQ:
-		return value.Unknown, fmt.Errorf("exec: both comparison operands are quantified")
-	case rIsQ:
-		lv, err := e.eval(l, en)
-		if err != nil {
-			return value.Unknown, err
-		}
-		return e.quantCompare(rq, en, func(v value.Value) (value.Tri, error) {
-			return cmp.Apply(lv, v)
-		})
-	case lIsQ:
-		rv, err := e.eval(r, en)
-		if err != nil {
-			return value.Unknown, err
-		}
-		return e.quantCompare(lq, en, func(v value.Value) (value.Tri, error) {
-			return cmp.Apply(v, rv)
-		})
-	}
-	lv, err := e.eval(l, en)
-	if err != nil {
-		return value.Unknown, err
-	}
-	rv, err := e.eval(r, en)
-	if err != nil {
-		return value.Unknown, err
-	}
-	return cmp.Apply(lv, rv)
-}
-
-func (e *Executor) quantCompare(q *query.Quant, en *env, test func(value.Value) (value.Tri, error)) (value.Tri, error) {
-	vals, err := e.subValues(q.Sub, en)
-	if err != nil {
-		return value.Unknown, err
-	}
-	switch q.Quant {
-	case ast.QSome:
-		out := value.False
-		for _, v := range vals {
-			t, err := test(v)
-			if err != nil {
-				return value.Unknown, err
-			}
-			out = out.Or(t)
-		}
-		return out, nil
-	case ast.QAll:
-		out := value.True
-		for _, v := range vals {
-			t, err := test(v)
-			if err != nil {
-				return value.Unknown, err
-			}
-			out = out.And(t)
-		}
-		return out, nil
-	default: // QNo
-		for _, v := range vals {
-			t, err := test(v)
-			if err != nil {
-				return value.Unknown, err
-			}
-			if t == value.True {
-				return value.False, nil
-			}
-		}
-		return value.True, nil
-	}
-}
-
-func (e *Executor) evalAttrRef(x *query.AttrRef, en *env) (value.Value, error) {
-	it, err := en.get(x.Node)
-	if err != nil {
-		return value.Null, err
-	}
-	if it.null {
-		return value.Null, nil
-	}
-	switch x.Attr.Kind {
-	case catalog.Subrole:
-		vals, err := e.m.Subrole(it.surr, x.Attr)
-		if err != nil {
-			return value.Null, err
-		}
-		if len(vals) == 0 {
-			return value.Null, nil
-		}
-		return vals[0], nil
-	default:
-		return e.m.GetSingle(it.surr, x.Attr)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Aggregates and subqueries
-// ---------------------------------------------------------------------------
-
-// subValues iterates a subquery chain under the current environment and
-// collects the value expression's results (NULLs excluded, matching the
-// usual aggregate semantics).
-func (e *Executor) subValues(sq *query.SubQuery, en *env) ([]value.Value, error) {
-	var out []value.Value
-	var loop func(i int) error
-	loop = func(i int) error {
-		if i == len(sq.Chain) {
-			v, err := e.eval(sq.Value, en)
-			if err != nil {
-				return err
-			}
-			if !v.IsNull() {
-				out = append(out, v)
-			}
-			return nil
-		}
-		n := sq.Chain[i]
-		dom, err := e.domain(nil, nil, n, en)
-		if err != nil {
-			return err
-		}
-		for _, it := range dom {
-			en.bind(n, it)
-			if err := loop(i + 1); err != nil {
-				return err
-			}
-		}
-		en.unbind(n)
-		return nil
-	}
-	if err := loop(0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (e *Executor) evalAgg(a *query.Agg, en *env) (value.Value, error) {
-	vals, err := e.subValues(a.Sub, en)
-	if err != nil {
-		return value.Null, err
-	}
-	return aggregate(a, vals)
-}
-
-// aggregate folds one aggregate function over a collected multiset. It is
-// the single implementation behind both the reference walker and the
-// compiled path, so the two cannot drift. DISTINCT compacts vals in place.
+// aggregate folds one aggregate function over a collected multiset.
+// DISTINCT compacts vals in place.
 func aggregate(a *query.Agg, vals []value.Value) (value.Value, error) {
 	if a.Distinct {
 		seen := make(map[string]bool, len(vals))

@@ -170,10 +170,10 @@ func (r *Result) addStructured(e *Executor, t *query.Tree, en *env, main []*quer
 	parent := r.Structured
 	same := true
 	for d, n := range main {
-		it, err := en.get(n)
-		if err != nil {
-			return err
+		if !en.set[n.ID] {
+			return unboundErr(n)
 		}
+		it := en.insts[n.ID]
 		key := instKey(it)
 		if same && r.lastGroups[d] != nil && r.lastKeys[d] == key {
 			parent = r.lastGroups[d]

@@ -123,22 +123,24 @@ func (e *Executor) fillRecs(sc *scratch, cl *catalog.Class, insts []inst) error 
 	return nil
 }
 
-// RetrieveProgram executes a previously compiled program. A nil program
-// (or an executor forced onto the reference walker) routes through the
-// ordinary Retrieve path. tr, when non-nil, collects the EXPLAIN ANALYZE
-// profile exactly as RetrieveTraced does.
+// RetrieveProgram executes a compiled program: the DAPLEX loop nest of
+// §4.5 over reused domain buffers, rows carved from a result-owned arena,
+// every expression evaluated through pre-lowered closures. A nil prog
+// compiles p first. When the executor has workers configured, the
+// outermost root domain is large enough, and the output mode permits it,
+// the domain is partitioned across a worker pool; results merge back in
+// domain order, so parallel output is byte-identical to serial execution.
+// Cancellation is checked between bindings of the outermost range. tr,
+// when non-nil, collects the EXPLAIN ANALYZE profile: bindings tried,
+// entities bound, inclusive wall per node, per-worker spans on the
+// parallel path.
 func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Program, tr *obs.QueryTrace) (*Result, error) {
-	if prog == nil || e.treeWalk {
-		return e.retrieve(ctx, p, tr)
+	if prog == nil {
+		var err error
+		if prog, err = e.Compile(p); err != nil {
+			return nil, err
+		}
 	}
-	return e.runProgram(ctx, p, prog, tr)
-}
-
-// runProgram is the compiled counterpart of retrieveTree: same loop
-// structure, same trace accounting, same result assembly — but bindings
-// come from reused domain buffers, rows from a result-owned arena, and
-// every expression evaluates through pre-lowered closures.
-func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, tr *obs.QueryTrace) (*Result, error) {
 	t := prog.tree
 	if t.Mode == ast.OutputStructure && len(t.OrderBy) > 0 {
 		return nil, errOrderByStructure()
@@ -223,7 +225,7 @@ func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, 
 				tm.observe(0, dom0[k])
 			}
 			sc.bind(main[0], dom0[k])
-			if err := e.runNestProgram(prog, sc, 1, &stats, emit, tm); err != nil {
+			if err := e.loopNest(prog, sc, 1, &stats, emit, tm); err != nil {
 				sc.putDomBuf(dom0)
 				e.putScratch(sc)
 				return nil, err
@@ -273,8 +275,10 @@ func (e *Executor) programEmitter(prog *Program, sc *scratch, arena *value.Arena
 	}
 }
 
-// runNestProgram is runNest over compiled domains and reused buffers.
-func (e *Executor) runNestProgram(prog *Program, sc *scratch, i int, stats *Stats, emit func() error, tm *nestTrace) error {
+// loopNest runs the loop nest from main-variable depth i down,
+// calling emit for every combination that passes the selection. A non-nil
+// tm collects the per-node profile (inclusive walls).
+func (e *Executor) loopNest(prog *Program, sc *scratch, i int, stats *Stats, emit func() error, tm *nestTrace) error {
 	if i == len(prog.main) {
 		ok, err := e.programHolds(prog, sc)
 		if err != nil {
@@ -304,7 +308,7 @@ func (e *Executor) runNestProgram(prog *Program, sc *scratch, i int, stats *Stat
 			tm.observe(i, dom[k])
 		}
 		sc.bind(n, dom[k])
-		if err := e.runNestProgram(prog, sc, i+1, stats, emit, tm); err != nil {
+		if err := e.loopNest(prog, sc, i+1, stats, emit, tm); err != nil {
 			sc.putDomBuf(dom)
 			return err
 		}
@@ -317,7 +321,9 @@ func (e *Executor) runNestProgram(prog *Program, sc *scratch, i int, stats *Stat
 	return nil
 }
 
-// programHolds is selectionHolds over the compiled WHERE program.
+// programHolds evaluates the WHERE program under the existential
+// semantics of §4.5: "for some X(m+1) … for some X(n) if <selection
+// expression> is true".
 func (e *Executor) programHolds(prog *Program, sc *scratch) (bool, error) {
 	if prog.where == nil {
 		return true, nil
@@ -358,9 +364,9 @@ func (e *Executor) programSome(prog *Program, sc *scratch, j int) (bool, error) 
 	return false, nil
 }
 
-// runParallelProgram partitions the outermost domain exactly like
-// retrieveParallel, with each worker running the compiled nest against a
-// pooled scratch and its own arena.
+// runParallelProgram splits the outermost domain into one contiguous chunk
+// per worker, each running the nest against a pooled scratch and its own
+// arena. Chunks are returned in domain order.
 func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, dom0 []inst, traced bool) ([]*partial, error) {
 	nw := e.workers
 	if nw > len(dom0) {
@@ -442,7 +448,7 @@ func (e *Executor) runChunkProgram(ctx context.Context, prog *Program, chunk []i
 			part.tm.observe(0, chunk[k])
 		}
 		sc.bind(prog.main[0], chunk[k])
-		if err := e.runNestProgram(prog, sc, 1, &part.stats, emit, part.tm); err != nil {
+		if err := e.loopNest(prog, sc, 1, &part.stats, emit, part.tm); err != nil {
 			return nil, err
 		}
 	}

@@ -44,6 +44,7 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 		return 0, err
 	}
 	ev := &events{}
+	progs := make([]*Program, len(stmt.Assigns))
 	var affected []value.Surrogate
 
 	if stmt.FromClass == "" {
@@ -52,7 +53,7 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 			return 0, err
 		}
 		ev.role = append(ev.role, roleEvent{cl, s})
-		if err := e.applyAssigns(s, cl, stmt.Assigns, ev); err != nil {
+		if err := e.applyAssigns(s, cl, stmt.Assigns, progs, ev); err != nil {
 			return 0, err
 		}
 		newRoles := append([]*catalog.Class{cl}, catalog.Ancestors(cl)...)
@@ -89,7 +90,7 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 			for _, c := range added {
 				ev.role = append(ev.role, roleEvent{c, s})
 			}
-			if err := e.applyAssigns(s, cl, stmt.Assigns, ev); err != nil {
+			if err := e.applyAssigns(s, cl, stmt.Assigns, progs, ev); err != nil {
 				return 0, err
 			}
 			if err := e.checkRequired(s, added); err != nil {
@@ -120,11 +121,12 @@ func (e *Executor) Modify(ctx context.Context, stmt *ast.ModifyStmt) (int, error
 		return 0, err
 	}
 	ev := &events{}
+	progs := make([]*Program, len(stmt.Assigns))
 	for _, s := range matches {
 		if err := ctxErr(ctx); err != nil {
 			return 0, err
 		}
-		if err := e.applyAssigns(s, cl, stmt.Assigns, ev); err != nil {
+		if err := e.applyAssigns(s, cl, stmt.Assigns, progs, ev); err != nil {
 			return 0, err
 		}
 	}
@@ -241,16 +243,21 @@ func (e *Executor) UpdateTargets(ctx context.Context, stmt ast.Stmt) (*catalog.C
 	return nil, nil, fmt.Errorf("exec: not an update statement: %T", stmt)
 }
 
-// SelectEntities returns the entities of cl satisfying where (all of them
-// when where is nil), in surrogate order. The result is materialized
+// SelectEntitiesCtx returns the entities of cl satisfying where (all of
+// them when where is nil), in surrogate order, checking cancellation
+// between rows of the enumerated class domain. The result is materialized
 // before any mutation, as the DML's snapshot semantics require.
-func (e *Executor) SelectEntities(cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
-	return e.SelectEntitiesCtx(context.Background(), cl, where)
+func (e *Executor) SelectEntitiesCtx(ctx context.Context, cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
+	prog, err := e.compileSelection(cl, where)
+	if err != nil {
+		return nil, err
+	}
+	return e.selectEntities(ctx, prog)
 }
 
-// SelectEntitiesCtx is SelectEntities under a context, checking
-// cancellation between rows of the enumerated class domain.
-func (e *Executor) SelectEntitiesCtx(ctx context.Context, cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
+// compileSelection binds, optimizes and compiles the selection of cl's
+// entities satisfying where.
+func (e *Executor) compileSelection(cl *catalog.Class, where ast.Expr) (*Program, error) {
 	t, err := query.BindSelection(e.cat, cl, where)
 	if err != nil {
 		return nil, err
@@ -259,41 +266,64 @@ func (e *Executor) SelectEntitiesCtx(ctx context.Context, cl *catalog.Class, whe
 	if err != nil {
 		return nil, err
 	}
-	en := newEnv(len(t.Nodes))
-	root := t.Roots[0]
-	dom, err := e.rootDomain(p, t, root)
+	return e.Compile(p)
+}
+
+// selectEntities enumerates a compiled selection's root domain and keeps
+// the entities for which its WHERE program holds.
+func (e *Executor) selectEntities(ctx context.Context, prog *Program) ([]value.Surrogate, error) {
+	sc := e.getScratch(prog.nNodes)
+	defer e.putScratch(sc)
+	root := prog.tree.Roots[0]
+	dom, err := prog.doms[root.ID](sc, sc.getDomBuf())
+	defer sc.putDomBuf(dom)
 	if err != nil {
 		return nil, err
 	}
-	exist := t.ExistNodes()
 	var out []value.Surrogate
-	for _, it := range dom {
+	for k := range dom {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		en.bind(root, it)
-		ok, err := e.selectionHolds(t, en, exist)
+		sc.bind(root, dom[k])
+		ok, err := e.programHolds(prog, sc)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out = append(out, it.surr)
+			out = append(out, dom[k].surr)
 		}
 	}
 	return out, nil
 }
 
-// applyAssigns applies an assignment list to one entity.
-func (e *Executor) applyAssigns(s value.Surrogate, cl *catalog.Class, assigns []ast.Assign, ev *events) error {
-	for _, a := range assigns {
-		if err := e.applyAssign(s, cl, a, ev); err != nil {
+// applyAssigns applies an assignment list to one entity. progs holds the
+// statement's compiled assignment programs, one slot per assignment,
+// shared across the statement's entities (see compileOnce).
+func (e *Executor) applyAssigns(s value.Surrogate, cl *catalog.Class, assigns []ast.Assign, progs []*Program, ev *events) error {
+	for i, a := range assigns {
+		if err := e.applyAssign(s, cl, a, &progs[i], ev); err != nil {
 			return fmt.Errorf("%s := ...: %w", a.Attr, err)
 		}
 	}
 	return nil
 }
 
-func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assign, ev *events) error {
+// compileOnce returns *slot, compiling it with build on first use. An
+// update statement compiles each assignment's program once; a binding
+// error surfaces where the first entity's evaluation raises it.
+func compileOnce(slot **Program, build func() (*Program, error)) (*Program, error) {
+	if *slot == nil {
+		prog, err := build()
+		if err != nil {
+			return nil, err
+		}
+		*slot = prog
+	}
+	return *slot, nil
+}
+
+func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assign, slot **Program, ev *events) error {
 	attr := catalog.ResolveAttr(cl, a.Attr)
 	if attr == nil {
 		return fmt.Errorf("class %s has no attribute %q", cl.Name, a.Attr)
@@ -304,13 +334,13 @@ func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assig
 	case catalog.Derived:
 		return fmt.Errorf("derived attribute %s is computed and cannot be assigned", attr)
 	case catalog.EVA:
-		return e.assignEVA(s, attr, a, ev)
+		return e.assignEVA(s, attr, a, slot, ev)
 	}
 	// DVA.
 	if a.Entity != nil {
 		return fmt.Errorf("%s is data-valued; entity selection does not apply", attr)
 	}
-	v, err := e.evalScalarFor(s, cl, a.Value)
+	v, err := e.evalScalarFor(s, cl, a.Value, slot)
 	if err != nil {
 		return err
 	}
@@ -357,7 +387,7 @@ func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assig
 // For single-valued assignment and inclusion, the object name is the range
 // class; for exclusion it is the EVA itself, selecting among current
 // partners. Assigning NULL clears a single-valued EVA.
-func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.Assign, ev *events) error {
+func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.Assign, slot **Program, ev *events) error {
 	record := func(t value.Surrogate) { ev.eva = append(ev.eva, evaEvent{attr, s, t}) }
 
 	if a.Entity == nil {
@@ -401,7 +431,7 @@ func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.A
 		if err != nil {
 			return err
 		}
-		keep, err := e.filterEntities(attr.Range, cur, a.Entity.Where)
+		keep, err := e.filterEntities(attr.Range, cur, a.Entity.Where, slot)
 		if err != nil {
 			return err
 		}
@@ -422,7 +452,11 @@ func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.A
 	if !catalog.IsAncestor(attr.Range, selCl) {
 		return fmt.Errorf("class %s is not in the range of %s (%s)", selCl.Name, attr, attr.Range.Name)
 	}
-	targets, err := e.SelectEntities(selCl, a.Entity.Where)
+	prog, err := compileOnce(slot, func() (*Program, error) { return e.compileSelection(selCl, a.Entity.Where) })
+	if err != nil {
+		return err
+	}
+	targets, err := e.selectEntities(context.Background(), prog)
 	if err != nil {
 		return err
 	}
@@ -477,20 +511,27 @@ func nameMatchesAttr(name string, attr *catalog.Attribute) bool {
 
 // filterEntities keeps the candidates satisfying where, evaluated with the
 // candidate as the perspective instance.
-func (e *Executor) filterEntities(cl *catalog.Class, candidates []value.Surrogate, where ast.Expr) ([]value.Surrogate, error) {
+func (e *Executor) filterEntities(cl *catalog.Class, candidates []value.Surrogate, where ast.Expr, slot **Program) ([]value.Surrogate, error) {
 	if where == nil {
 		return candidates, nil
 	}
-	t, err := query.BindSelection(e.cat, cl, where)
+	prog, err := compileOnce(slot, func() (*Program, error) {
+		t, err := query.BindSelection(e.cat, cl, where)
+		if err != nil {
+			return nil, err
+		}
+		return e.Compile(&plan.Plan{Tree: t})
+	})
 	if err != nil {
 		return nil, err
 	}
-	en := newEnv(len(t.Nodes))
-	exist := t.ExistNodes()
+	sc := e.getScratch(prog.nNodes)
+	defer e.putScratch(sc)
+	root := prog.tree.Roots[0]
 	var out []value.Surrogate
 	for _, s := range candidates {
-		en.bind(t.Roots[0], inst{surr: s})
-		ok, err := e.selectionHolds(t, en, exist)
+		sc.bind(root, inst{surr: s})
+		ok, err := e.programHolds(prog, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -503,53 +544,56 @@ func (e *Executor) filterEntities(cl *catalog.Class, candidates []value.Surrogat
 
 // evalScalarFor evaluates an assignment right-hand side in the context of
 // one entity (so "salary := 1.1 * salary" reads the entity's own salary).
-func (e *Executor) evalScalarFor(s value.Surrogate, cl *catalog.Class, expr ast.Expr) (value.Value, error) {
+func (e *Executor) evalScalarFor(s value.Surrogate, cl *catalog.Class, expr ast.Expr, slot **Program) (value.Value, error) {
 	if lit, ok := expr.(*ast.Lit); ok {
 		return lit.Val, nil
 	}
-	t, err := query.BindScalar(e.cat, cl, expr)
+	prog, err := compileOnce(slot, func() (*Program, error) { return e.compileScalar(cl, expr) })
 	if err != nil {
 		return value.Null, err
 	}
-	for _, n := range t.Nodes {
-		if !n.IsRoot() && !n.Sub && !n.IsValue {
-			// Entity-valued paths are fine (single-valued EVAs), but a
-			// multi-valued main node would make the RHS multi-valued.
-			if n.Edge != nil && n.Edge.Options.MV {
-				return value.Null, fmt.Errorf("assignment expression traverses multi-valued %s", n.Edge)
+	sc := e.getScratch(prog.nNodes)
+	defer e.putScratch(sc)
+	sc.bind(prog.tree.Roots[0], inst{surr: s})
+	// Bind the remaining single-valued main nodes: the first instance, or
+	// the NULL dummy when the path is empty.
+	for _, n := range prog.main {
+		if n.IsRoot() {
+			continue
+		}
+		dom, err := prog.doms[n.ID](sc, sc.getDomBuf())
+		if err == nil {
+			it := inst{null: true}
+			if len(dom) > 0 {
+				it = dom[0]
 			}
+			sc.bind(n, it)
+		}
+		sc.putDomBuf(dom)
+		if err != nil {
+			return value.Null, err
+		}
+	}
+	return prog.target[0](sc)
+}
+
+// compileScalar binds and compiles an assignment right-hand side over cl.
+// Paths through single-valued EVAs are fine, but a multi-valued main node
+// would make the right-hand side multi-valued.
+func (e *Executor) compileScalar(cl *catalog.Class, expr ast.Expr) (*Program, error) {
+	t, err := query.BindScalar(e.cat, cl, expr)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range t.Nodes {
+		if !n.IsRoot() && !n.Sub && !n.IsValue && n.Edge != nil && n.Edge.Options.MV {
+			return nil, fmt.Errorf("assignment expression traverses multi-valued %s", n.Edge)
 		}
 		if n.IsValue && !n.Sub {
-			return value.Null, fmt.Errorf("assignment expression reads multi-valued %s; aggregate it instead", n.Edge)
+			return nil, fmt.Errorf("assignment expression reads multi-valued %s; aggregate it instead", n.Edge)
 		}
 	}
-	en := newEnv(len(t.Nodes))
-	en.bind(t.Roots[0], inst{surr: s})
-	// Bind the remaining single-valued main nodes.
-	main := t.MainNodes()
-	var fill func(i int) error
-	fill = func(i int) error {
-		if i == len(main) {
-			return nil
-		}
-		n := main[i]
-		if !n.IsRoot() {
-			dom, err := e.domain(nil, t, n, en)
-			if err != nil {
-				return err
-			}
-			if len(dom) == 0 {
-				en.bind(n, inst{null: true})
-			} else {
-				en.bind(n, dom[0])
-			}
-		}
-		return fill(i + 1)
-	}
-	if err := fill(0); err != nil {
-		return value.Null, err
-	}
-	return e.eval(t.Targets[0], en)
+	return e.Compile(&plan.Plan{Tree: t})
 }
 
 // checkRequired verifies the REQUIRED option for the immediate attributes

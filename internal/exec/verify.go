@@ -5,7 +5,7 @@ import (
 
 	"sim/internal/catalog"
 	"sim/internal/integrity"
-	"sim/internal/query"
+	"sim/internal/plan"
 	"sim/internal/value"
 )
 
@@ -13,6 +13,35 @@ import (
 // analyzed trigger set (from internal/integrity) plus the bound assertion
 // tree.
 type Constraint = integrity.Constraint
+
+// assertion is a VERIFY constraint with its compiled condition.
+type assertion struct {
+	*Constraint
+	prog *Program
+}
+
+// SetConstraints installs the bound integrity assertions enforced on
+// updates, compiling each assertion once.
+func (e *Executor) SetConstraints(cs []*Constraint) error {
+	out := make([]assertion, len(cs))
+	for i, c := range cs {
+		cc, err := e.compileAssertion(c)
+		if err != nil {
+			return err
+		}
+		out[i] = cc
+	}
+	e.constraints = out
+	return nil
+}
+
+func (e *Executor) compileAssertion(c *Constraint) (assertion, error) {
+	prog, err := e.Compile(&plan.Plan{Tree: c.Tree})
+	if err != nil {
+		return assertion{}, fmt.Errorf("verify %s: %w", c.Verify.Name, err)
+	}
+	return assertion{c, prog}, nil
+}
 
 // ViolationError reports a failed VERIFY assertion; the database layer
 // rolls the statement back.
@@ -35,7 +64,7 @@ func (v *ViolationError) Error() string {
 // the paper's "trigger detection / query enhancement mechanism" (§3.3).
 func (e *Executor) checkConstraints(ev *events) error {
 	for _, c := range e.constraints {
-		affected, checkAll, err := e.affectedEntities(c, ev)
+		affected, checkAll, err := e.affectedEntities(c.Constraint, ev)
 		if err != nil {
 			return err
 		}
@@ -52,7 +81,7 @@ func (e *Executor) checkConstraints(ev *events) error {
 				continue
 			}
 			seen[s] = true
-			if err := e.CheckEntity(c, s); err != nil {
+			if err := e.checkEntity(c, s); err != nil {
 				return err
 			}
 		}
@@ -118,18 +147,18 @@ func (e *Executor) affectedEntities(c *Constraint, ev *events) ([]value.Surrogat
 	return out, false, nil
 }
 
-// CheckEntity verifies one entity against one constraint. Entities that no
+// checkEntity verifies one entity against one constraint. Entities that no
 // longer hold the constraint class's role pass vacuously. An assertion
 // evaluating to UNKNOWN passes (only a definite False is a violation).
-func (e *Executor) CheckEntity(c *Constraint, s value.Surrogate) error {
+func (e *Executor) checkEntity(c assertion, s value.Surrogate) error {
 	ok, err := e.m.HasRole(s, c.Verify.Class)
 	if err != nil || !ok {
 		return err
 	}
-	t := c.Tree
-	en := newEnv(len(t.Nodes))
-	en.bind(t.Roots[0], inst{surr: s})
-	holds, err := e.assertionHolds(t, en)
+	sc := e.getScratch(c.prog.nNodes)
+	sc.bind(c.prog.tree.Roots[0], inst{surr: s})
+	holds, err := assertionHolds(c.prog, sc)
+	e.putScratch(sc)
 	if err != nil {
 		return err
 	}
@@ -139,12 +168,11 @@ func (e *Executor) CheckEntity(c *Constraint, s value.Surrogate) error {
 	return nil
 }
 
-// assertionHolds evaluates a constraint tree's condition for the pinned
-// root. Unlike WHERE filtering, a result of Unknown passes.
-func (e *Executor) assertionHolds(t *query.Tree, en *env) (bool, error) {
-	exist := t.ExistNodes()
-	if len(exist) == 0 {
-		tri, err := e.evalTri(t.Where, en)
+// assertionHolds evaluates a constraint program's condition for the
+// pinned root. Unlike WHERE filtering, a result of Unknown passes.
+func assertionHolds(prog *Program, sc *scratch) (bool, error) {
+	if len(prog.exist) == 0 {
+		tri, err := prog.where(sc)
 		if err != nil {
 			return false, err
 		}
@@ -157,9 +185,9 @@ func (e *Executor) assertionHolds(t *query.Tree, en *env) (bool, error) {
 	anyBinding := false
 	var walk func(j int) error
 	walk = func(j int) error {
-		if j == len(exist) {
+		if j == len(prog.exist) {
 			anyBinding = true
-			tri, err := e.evalTri(t.Where, en)
+			tri, err := prog.where(sc)
 			if err != nil {
 				return err
 			}
@@ -171,13 +199,14 @@ func (e *Executor) assertionHolds(t *query.Tree, en *env) (bool, error) {
 			}
 			return nil
 		}
-		n := exist[j]
-		dom, err := e.domain(nil, t, n, en)
+		n := prog.exist[j]
+		dom, err := prog.doms[n.ID](sc, sc.getDomBuf())
+		defer sc.putDomBuf(dom)
 		if err != nil {
 			return err
 		}
-		for _, it := range dom {
-			en.bind(n, it)
+		for k := range dom {
+			sc.bind(n, dom[k])
 			if err := walk(j + 1); err != nil {
 				return err
 			}
@@ -185,7 +214,7 @@ func (e *Executor) assertionHolds(t *query.Tree, en *env) (bool, error) {
 				break
 			}
 		}
-		en.unbind(n)
+		sc.unbind(n)
 		return nil
 	}
 	if err := walk(0); err != nil {
@@ -200,12 +229,16 @@ func (e *Executor) assertionHolds(t *query.Tree, en *env) (bool, error) {
 // CheckAll verifies every entity of a constraint's class; the database
 // layer offers this as an administrative operation.
 func (e *Executor) CheckAll(c *Constraint) error {
+	cc, err := e.compileAssertion(c)
+	if err != nil {
+		return err
+	}
 	ss, err := e.m.Surrogates(c.Verify.Class)
 	if err != nil {
 		return err
 	}
 	for _, s := range ss {
-		if err := e.CheckEntity(c, s); err != nil {
+		if err := e.checkEntity(cc, s); err != nil {
 			return err
 		}
 	}

@@ -384,7 +384,6 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 	if s.slots != nil {
 		select {
 		case s.slots <- struct{}{}:
-			defer func() { <-s.slots }()
 		default:
 			// Saturated: fail fast instead of queueing unboundedly. The
 			// client sees a retryable CodeOverloaded and backs off.
@@ -401,6 +400,11 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 	start := time.Now()
 	rt, resp := func() (wire.Type, []byte) {
 		defer s.inflight.Done()
+		if s.slots != nil {
+			// Free the slot before the response is written: a client that
+			// has read its reply may send its next request at once.
+			defer func() { <-s.slots }()
+		}
 		return s.dispatch(sess, t, payload, reqID)
 	}()
 	d := time.Since(start)

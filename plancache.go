@@ -39,7 +39,7 @@ type planCache struct {
 type planEntry struct {
 	key  string
 	p    *plan.Plan
-	prog *exec.Program // compiled form; nil when the plan fell back to the tree walker
+	prog *exec.Program // compiled form, run by every execution of the plan
 }
 
 func newPlanCache(capacity int) *planCache {

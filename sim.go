@@ -89,12 +89,6 @@ type Config struct {
 	// in the slow-query log (see Database.SlowQueries). Zero disables the
 	// log.
 	SlowQuery time.Duration
-	// TreeWalkEval forces queries onto the reference tree-walking
-	// evaluator instead of the compiled closure programs. The two produce
-	// identical results; the walker exists as the semantic oracle and for
-	// debugging, and this switch makes it reachable from benchmarks and
-	// differential tests.
-	TreeWalkEval bool
 }
 
 // ConfigError reports an invalid Config field, by name.
@@ -292,9 +286,10 @@ func (db *Database) rebuild(batches []string) error {
 		}
 	}
 	exe := exec.New(mapper)
-	exe.SetConstraints(constraints)
+	if err := exe.SetConstraints(constraints); err != nil {
+		return err
+	}
 	exe.SetWorkers(db.cfg.queryWorkers())
-	exe.SetTreeWalk(db.cfg.TreeWalkEval)
 	// Owned counters come back identical across rebuilds (totals keep
 	// accumulating); the mapper's func-backed readers are re-pointed at the
 	// fresh instance.
@@ -482,7 +477,9 @@ func (db *Database) queryOn(ctx context.Context, dml string, exe *exec.Executor,
 		if tr != nil {
 			tr.Plan = time.Since(planStart)
 		}
-		prog = db.compilePlan(p)
+		if prog, err = db.exe.Compile(p); err != nil {
+			return nil, err
+		}
 		db.plans.put(dml, p, prog)
 	} else if tr != nil {
 		tr.PlanCached = true
@@ -497,20 +494,6 @@ func (db *Database) queryOn(ctx context.Context, dml string, exe *exec.Executor,
 	return res, err
 }
 
-// compilePlan lowers an optimized plan to a closure program for caching
-// next to it. A nil result (tree walker forced, or a construct the
-// compiler declines) routes execution through the reference walker.
-func (db *Database) compilePlan(p *plan.Plan) *exec.Program {
-	if db.cfg.TreeWalkEval {
-		return nil
-	}
-	prog, err := db.exe.Compile(p)
-	if err != nil {
-		return nil
-	}
-	return prog
-}
-
 // planRetrieveOn binds and optimizes a parsed Retrieve under the read
 // lock, reading optimizer statistics through the given mapper — a
 // snapshot view when the caller reads a snapshot, so planning never
@@ -523,14 +506,14 @@ func (db *Database) planRetrieveOn(ret *ast.RetrieveStmt, m *luc.Mapper) (*plan.
 	return plan.Optimize(tree, m)
 }
 
-// runRetrieveOn plans and tree-walks one Retrieve on the given executor,
-// bypassing the plan cache (the script path; see RunCtx).
+// runRetrieveOn plans, compiles and runs one Retrieve on the given
+// executor, bypassing the plan cache (the script path; see RunCtx).
 func (db *Database) runRetrieveOn(ctx context.Context, ret *ast.RetrieveStmt, exe *exec.Executor) (*Result, error) {
 	p, err := db.planRetrieveOn(ret, exe.Mapper())
 	if err != nil {
 		return nil, err
 	}
-	return exe.RetrieveCtx(ctx, p)
+	return exe.RetrieveProgram(ctx, p, nil, nil)
 }
 
 // Explain is ExplainCtx(context.Background(), dml).

@@ -60,8 +60,8 @@ var triLogicQueries = []string{
 	`From instructor Retrieve name, salary * "x".`,
 }
 
-// TestTriLogicPinned pins absolute answers for the trickiest cases so a
-// bug shared by both evaluators cannot hide behind the equality oracle.
+// TestTriLogicPinned pins absolute answers for the trickiest cases,
+// independent of the golden files.
 func TestTriLogicPinned(t *testing.T) {
 	db := universityDB(t, Config{})
 	// Unknown or True = True: all three instructors have salary > 40000,
