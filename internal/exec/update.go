@@ -299,7 +299,9 @@ func (e *Executor) selectEntities(ctx context.Context, prog *Program) ([]value.S
 
 // applyAssigns applies an assignment list to one entity. progs holds the
 // statement's compiled assignment programs, one slot per assignment,
-// shared across the statement's entities (see compileOnce).
+// shared across the statement's entities. A slot compiles on first use,
+// so a binding error surfaces where the first entity's evaluation raises
+// it.
 func (e *Executor) applyAssigns(s value.Surrogate, cl *catalog.Class, assigns []ast.Assign, progs []*Program, ev *events) error {
 	for i, a := range assigns {
 		if err := e.applyAssign(s, cl, a, &progs[i], ev); err != nil {
@@ -307,20 +309,6 @@ func (e *Executor) applyAssigns(s value.Surrogate, cl *catalog.Class, assigns []
 		}
 	}
 	return nil
-}
-
-// compileOnce returns *slot, compiling it with build on first use. An
-// update statement compiles each assignment's program once; a binding
-// error surfaces where the first entity's evaluation raises it.
-func compileOnce(slot **Program, build func() (*Program, error)) (*Program, error) {
-	if *slot == nil {
-		prog, err := build()
-		if err != nil {
-			return nil, err
-		}
-		*slot = prog
-	}
-	return *slot, nil
 }
 
 func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assign, slot **Program, ev *events) error {
@@ -452,11 +440,13 @@ func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.A
 	if !catalog.IsAncestor(attr.Range, selCl) {
 		return fmt.Errorf("class %s is not in the range of %s (%s)", selCl.Name, attr, attr.Range.Name)
 	}
-	prog, err := compileOnce(slot, func() (*Program, error) { return e.compileSelection(selCl, a.Entity.Where) })
-	if err != nil {
-		return err
+	if *slot == nil {
+		var err error
+		if *slot, err = e.compileSelection(selCl, a.Entity.Where); err != nil {
+			return err
+		}
 	}
-	targets, err := e.selectEntities(context.Background(), prog)
+	targets, err := e.selectEntities(context.Background(), *slot)
 	if err != nil {
 		return err
 	}
@@ -515,16 +505,16 @@ func (e *Executor) filterEntities(cl *catalog.Class, candidates []value.Surrogat
 	if where == nil {
 		return candidates, nil
 	}
-	prog, err := compileOnce(slot, func() (*Program, error) {
+	if *slot == nil {
 		t, err := query.BindSelection(e.cat, cl, where)
 		if err != nil {
 			return nil, err
 		}
-		return e.Compile(&plan.Plan{Tree: t})
-	})
-	if err != nil {
-		return nil, err
+		if *slot, err = e.Compile(&plan.Plan{Tree: t}); err != nil {
+			return nil, err
+		}
 	}
+	prog := *slot
 	sc := e.getScratch(prog.nNodes)
 	defer e.putScratch(sc)
 	root := prog.tree.Roots[0]
@@ -548,10 +538,13 @@ func (e *Executor) evalScalarFor(s value.Surrogate, cl *catalog.Class, expr ast.
 	if lit, ok := expr.(*ast.Lit); ok {
 		return lit.Val, nil
 	}
-	prog, err := compileOnce(slot, func() (*Program, error) { return e.compileScalar(cl, expr) })
-	if err != nil {
-		return value.Null, err
+	if *slot == nil {
+		var err error
+		if *slot, err = e.compileScalar(cl, expr); err != nil {
+			return value.Null, err
+		}
 	}
+	prog := *slot
 	sc := e.getScratch(prog.nNodes)
 	defer e.putScratch(sc)
 	sc.bind(prog.tree.Roots[0], inst{surr: s})
