@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sim/internal/pager"
@@ -319,7 +320,7 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 			return v, true, nil
 		}
 		t.a.Release(f)
-		v, err := t.readOverflow(ovf, total)
+		v, err := t.readOverflow(nil, ovf, total)
 		return v, err == nil, err
 	}
 }
@@ -444,8 +445,10 @@ func (t *Tree) writeOverflow(val []byte) (pager.PageID, error) {
 	return head, nil
 }
 
-func (t *Tree) readOverflow(head pager.PageID, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
+// readOverflow reads a value's overflow chain into dst's backing array,
+// growing it when short.
+func (t *Tree) readOverflow(dst []byte, head pager.PageID, total int) ([]byte, error) {
+	out := slices.Grow(dst[:0], total)
 	id := head
 	for id != pager.Invalid {
 		f, err := t.a.Get(id)

@@ -6,17 +6,18 @@ import (
 	"sim/internal/pager"
 )
 
-// Cursor iterates key/value pairs in ascending key order. It snapshots one
-// leaf at a time, so the tree may be read (but not mutated) concurrently;
-// the executor materializes update target lists before mutating.
+// Cursor iterates key/value pairs in ascending key order. On each leaf
+// visit it copies the page once into a buffer it owns, then decodes only
+// the cell it stands on (reading an overflow chain for that cell alone),
+// so positioning costs one page copy and one cell however long the leaf.
+// The tree may be read (but not mutated) concurrently; the executor
+// materializes update target lists before mutating.
 type Cursor struct {
 	t         *Tree
-	keys      [][]byte
-	vals      [][]byte
-	buf       []byte // single backing store for the snapshotted cells
-	offs      []int  // staging: key-end/value-end offset pairs into buf
+	leaf      pager.Frame // private copy of the current leaf; Data is reused
 	i         int
-	next      pager.PageID
+	key, val  []byte // the current cell, capacity-capped
+	ovf       []byte // reused backing for an overflow value
 	valid     bool
 	err       error
 	prefix    []byte // non-nil: iteration stops when keys leave this prefix
@@ -60,17 +61,12 @@ func (t *Tree) SeekInto(c *Cursor, key []byte) error {
 			id = child
 			continue
 		}
-		i, _ := leafSearch(n, key)
-		if err := c.loadLeaf(n, i); err != nil {
-			t.a.Release(f)
-			return err
-		}
+		c.load(f)
 		t.a.Release(f)
 		break
 	}
-	if !c.valid {
-		c.advanceLeaf()
-	}
+	i, _ := leafSearch(node{&c.leaf}, key)
+	c.settle(i)
 	return c.err
 }
 
@@ -94,66 +90,54 @@ func (t *Tree) SeekPrefixInto(c *Cursor, prefix []byte) error {
 	return nil
 }
 
-// loadLeaf snapshots leaf n's cells from position i on. All cells share
-// the cursor's single backing buffer: extents are recorded first (growth
-// reallocates the buffer), then the key/value sub-slices are carved once
-// the buffer is final, capacity-capped so appending to one cannot reach
-// its neighbor.
-func (c *Cursor) loadLeaf(n node, i int) error {
-	c.keys = c.keys[:0]
-	c.vals = c.vals[:0]
-	c.buf = c.buf[:0]
-	c.offs = c.offs[:0]
-	c.i = 0
-	c.next = n.next()
-	nc := n.nCells()
-	for j := i; j < nc; j++ {
-		c.buf = append(c.buf, n.leafKey(j)...)
-		c.offs = append(c.offs, len(c.buf))
-		inline, ovf, total := n.leafValueInfo(j)
-		if ovf == pager.Invalid {
-			c.buf = append(c.buf, inline...)
-		} else {
-			v, err := c.t.readOverflow(ovf, total)
-			if err != nil {
-				return err
-			}
-			c.buf = append(c.buf, v...)
-		}
-		c.offs = append(c.offs, len(c.buf))
+// load copies the pinned leaf page f into the cursor's own buffer.
+func (c *Cursor) load(f *pager.Frame) {
+	if c.leaf.Data == nil {
+		c.leaf.Data = make([]byte, pager.PageSize)
 	}
-	off := 0
-	for k := 0; k+1 < len(c.offs); k += 2 {
-		ke, ve := c.offs[k], c.offs[k+1]
-		c.keys = append(c.keys, c.buf[off:ke:ke])
-		c.vals = append(c.vals, c.buf[ke:ve:ve])
-		off = ve
-	}
-	c.valid = len(c.keys) > 0
-	return nil
+	c.leaf.ID = f.ID
+	copy(c.leaf.Data, f.Data)
 }
 
-// advanceLeaf walks the sibling chain until a non-empty leaf is found.
-func (c *Cursor) advanceLeaf() {
-	for c.next != pager.Invalid {
-		f, err := c.t.a.Get(c.next)
-		if err != nil {
-			c.err = err
+// settle positions the cursor on cell i of its leaf copy, following the
+// sibling chain past exhausted and emptied leaves, and decodes that cell.
+func (c *Cursor) settle(i int) {
+	n := node{&c.leaf}
+	for i >= n.nCells() {
+		next := n.next()
+		if next == pager.Invalid {
 			c.valid = false
 			return
 		}
-		n := node{f}
-		err = c.loadLeaf(n, 0)
+		f, err := c.t.a.Get(next)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		c.load(f)
 		c.t.a.Release(f)
-		if err != nil {
-			c.err = err
-			c.valid = false
-			return
-		}
-		if c.valid {
-			return
-		}
+		i = 0
 	}
+	c.i = i
+	k := n.leafKey(i)
+	c.key = k[:len(k):len(k)]
+	inline, ovf, total := n.leafValueInfo(i)
+	if ovf == pager.Invalid {
+		c.val = inline[:len(inline):len(inline)]
+	} else {
+		v, err := c.t.readOverflow(c.ovf, ovf, total)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		c.ovf = v
+		c.val = v[:len(v):len(v)]
+	}
+	c.valid = true
+}
+
+func (c *Cursor) fail(err error) {
+	c.err = err
 	c.valid = false
 }
 
@@ -164,20 +148,17 @@ func (c *Cursor) Valid() bool { return c.valid && c.err == nil }
 func (c *Cursor) Err() error { return c.err }
 
 // Key returns the current key (valid until Next).
-func (c *Cursor) Key() []byte { return c.keys[c.i] }
+func (c *Cursor) Key() []byte { return c.key }
 
 // Value returns the current value (valid until Next).
-func (c *Cursor) Value() []byte { return c.vals[c.i] }
+func (c *Cursor) Value() []byte { return c.val }
 
 // Next advances the cursor.
 func (c *Cursor) Next() {
 	if !c.Valid() {
 		return
 	}
-	c.i++
-	if c.i >= len(c.keys) {
-		c.advanceLeaf()
-	}
+	c.settle(c.i + 1)
 	c.checkPrefix()
 }
 

@@ -52,17 +52,18 @@ func (a *snapAlloc) MarkDirty(*pager.Frame)           {}
 // chains, so a Snap never takes the store write latch, never observes
 // uncommitted bytes, and keeps returning the same data while later
 // transactions commit. A Snap is safe for concurrent readers (parallel
-// query workers share one). Every PinSnapshot must be paired with
-// Release, which is what lets version GC reclaim old page images.
+// query workers share one). Each reader's pin — PinSnapshot, or Repin
+// for a reader sharing the Snap — is paired with one Release, which is
+// what lets version GC reclaim old page images.
 type Snap struct {
 	s     *Store
 	alloc *snapAlloc
 	stamp uint64
 
-	mu       sync.Mutex
-	dir      *btree.Tree // directory as of stamp, opened lazily
-	open     map[string]*Structure
-	released bool
+	mu   sync.RWMutex
+	dir  *btree.Tree // directory as of stamp, opened lazily
+	open map[string]*Structure
+	pins int // reader pins held on stamp through this Snap
 }
 
 // PinSnapshot pins a read view at the newest published commit stamp.
@@ -73,21 +74,38 @@ func (s *Store) PinSnapshot() *Snap {
 		stamp: stamp,
 		alloc: &snapAlloc{pool: s.pool, stamp: stamp},
 		open:  make(map[string]*Structure),
+		pins:  1,
 	}
 }
 
 // Stamp returns the commit stamp the view is pinned at.
 func (sn *Snap) Stamp() uint64 { return sn.stamp }
 
-// Release unpins the view, allowing version GC to advance past it. It is
-// idempotent; structures obtained from the view must not be used after.
+// Repin pins the view's stamp for one more reader, provided it is still
+// the newest published stamp, and reports whether it did. Opened
+// structures outlive the last Release, so a reader repinning the same
+// stamp later reuses them instead of reopening the directory.
+func (sn *Snap) Repin() bool {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if !sn.s.pool.PinViewAt(sn.stamp) {
+		return false
+	}
+	sn.pins++
+	return true
+}
+
+// Release drops one reader pin, allowing version GC to advance past the
+// view once none remain. A Release beyond the last pin is a no-op, so a
+// sole holder may release twice; structures obtained from the view must
+// not be used after the holder's Release.
 func (sn *Snap) Release() {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	if sn.released {
+	if sn.pins == 0 {
 		return
 	}
-	sn.released = true
+	sn.pins--
 	sn.s.pool.UnpinView(sn.stamp)
 }
 
@@ -97,6 +115,12 @@ func (sn *Snap) Release() {
 // are not snapshot-isolated, matching the statement-level DDL exclusion
 // the database layer already enforces.
 func (sn *Snap) Structure(name string) (*Structure, error) {
+	sn.mu.RLock()
+	st, ok := sn.open[name]
+	sn.mu.RUnlock()
+	if ok {
+		return st, nil
+	}
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	if st, ok := sn.open[name]; ok {
@@ -118,13 +142,10 @@ func (sn *Snap) Structure(name string) (*Structure, error) {
 		return sn.s.Structure(name)
 	}
 	root := pager.PageID(binary.BigEndian.Uint32(rootBytes))
-	st := &Structure{s: sn.s, name: name, tree: btree.Open(sn.alloc, root, nil), ro: true}
+	st = &Structure{s: sn.s, name: name, tree: btree.Open(sn.alloc, root, nil), ro: true}
 	sn.open[name] = st
 	return st, nil
 }
-
-// Published returns the newest commit stamp visible to new snapshots.
-func (s *Store) Published() uint64 { return s.pool.Published() }
 
 // OldestPinned returns the version-GC floor: the oldest stamp a live
 // snapshot is pinned at, or the published stamp with none pinned.

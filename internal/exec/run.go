@@ -81,9 +81,10 @@ func (sc *scratch) getDomBuf() []inst {
 }
 
 // putDomBuf returns a domain buffer, zeroing it so pooled buffers don't
-// pin decoded records between queries.
+// pin decoded records between queries. Only b[:len(b)] is cleared: every
+// domain function that shrinks a buffer zeroes the tail it drops (see
+// appendWithRole), so entries beyond len are already zero.
 func (sc *scratch) putDomBuf(b []inst) {
-	b = b[:cap(b)]
 	for i := range b {
 		b[i] = inst{}
 	}

@@ -97,7 +97,18 @@ func RecBatch() int { return recBatch }
 // be Batchable; recs must be at least as long as surrs.
 func (m *Mapper) ReadBatch(cl *catalog.Class, surrs []value.Surrogate, recs []Rec) error {
 	base := cl.Base
-	stamp := m.readStamp()
+	if m.snap == nil {
+		// The live mapper bypasses the cache, as in readRecord.
+		for i, s := range surrs {
+			r, err := m.loadRecord(base, s)
+			if err != nil {
+				return err
+			}
+			recs[i] = Rec{r}
+		}
+		return nil
+	}
+	stamp := m.snap.Stamp()
 	var hits, misses uint64
 	// Pass 1: one read-locked sweep per shard resolves every cached entry
 	// decoded at this reader's stamp.
@@ -121,8 +132,8 @@ func (m *Mapper) ReadBatch(cl *catalog.Class, surrs []value.Surrogate, recs []Re
 			sh.mu.RUnlock()
 		}
 	}
-	// Pass 2: load the misses (these pay storage reads regardless) and —
-	// for snapshot views only — publish them for the next batch.
+	// Pass 2: load the misses (these pay storage reads regardless) and
+	// publish them for the next batch.
 	for i, s := range surrs {
 		if recs[i].r != nil {
 			continue
@@ -136,9 +147,6 @@ func (m *Mapper) ReadBatch(cl *catalog.Class, surrs []value.Surrogate, recs []Re
 			continue
 		}
 		recs[i] = Rec{r}
-		if m.snap == nil {
-			continue
-		}
 		sh := m.rc.shardOf(s)
 		sh.mu.Lock()
 		if len(sh.m) >= rcacheCap/rcShards {

@@ -180,8 +180,8 @@ type recCache struct {
 	misses atomic.Uint64
 }
 
-// probe is one recyclable point-lookup kit: a cursor whose leaf-snapshot
-// buffers survive across seeks, plus a key-building scratch buffer.
+// probe is one recyclable point-lookup kit: a cursor whose page and
+// overflow buffers survive across seeks, plus a key-building scratch buffer.
 type probe struct {
 	cur btree.Cursor
 	key []byte
@@ -234,16 +234,6 @@ func (m *Mapper) structure(name string) (*dmsii.Structure, error) {
 		return m.snap.Structure(name)
 	}
 	return m.store.Structure(name)
-}
-
-// readStamp is the commit stamp this mapper's reads observe — the pinned
-// snapshot's stamp for views, the newest published stamp for the live
-// mapper. Record-cache entries are valid only at exactly their stamp.
-func (m *Mapper) readStamp() uint64 {
-	if m.snap != nil {
-		return m.snap.Stamp()
-	}
-	return m.store.Published()
 }
 
 // touch runs the onWrite hook for one entity about to be mutated.

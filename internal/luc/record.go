@@ -163,12 +163,16 @@ func (m *Mapper) classByID(id int) *catalog.Class {
 //
 // The cache is stamp-exact: an entry serves only readers observing the
 // same commit stamp it was decoded at, so every commit implicitly
-// invalidates it. Only snapshot views fill the cache — the live mapper
+// invalidates it. Only snapshot views use the cache — the live mapper
 // runs inside write transactions, where a fill could capture uncommitted
-// state under a published stamp.
+// state under a published stamp and a hit would hide the transaction's
+// own uncommitted writes behind the committed record.
 func (m *Mapper) readRecord(base *catalog.Class, s value.Surrogate) (*record, error) {
+	if m.snap == nil {
+		return m.loadRecord(base, s)
+	}
 	key := rcKey{base.ID, s}
-	stamp := m.readStamp()
+	stamp := m.snap.Stamp()
 	sh := m.rc.shardOf(s)
 	sh.mu.RLock()
 	e, ok := sh.m[key]
@@ -181,9 +185,6 @@ func (m *Mapper) readRecord(base *catalog.Class, s value.Surrogate) (*record, er
 	r, err := m.loadRecord(base, s)
 	if err != nil {
 		return nil, err
-	}
-	if m.snap == nil {
-		return r, nil
 	}
 	// Concurrent readers may race to fill the same key with equal decoded
 	// contents; last write wins.

@@ -56,9 +56,9 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List                // unpinned frames, least recently used at front
-	versions map[PageID][]pageVersion  // committed pre-images, ascending stamp
-	stamps   map[PageID]uint64         // latest commit stamp that captured the page (absent = 0, "as old as the file")
+	lru      *list.List               // unpinned frames, least recently used at front
+	versions map[PageID][]pageVersion // committed pre-images, ascending stamp
+	stamps   map[PageID]uint64        // latest commit stamp that captured the page (absent = 0, "as old as the file")
 }
 
 // Pool is a pinning buffer pool over a page File, sharded by page number
@@ -313,7 +313,19 @@ func (p *Pool) PinView() uint64 {
 	return s
 }
 
-// UnpinView releases a snapshot pinned by PinView.
+// PinViewAt pins stamp like PinView, but only while it is still the
+// newest published stamp; it reports whether it pinned.
+func (p *Pool) PinViewAt(stamp uint64) bool {
+	p.pinMu.Lock()
+	ok := p.published.Load() == stamp
+	if ok {
+		p.pins[stamp]++
+	}
+	p.pinMu.Unlock()
+	return ok
+}
+
+// UnpinView releases a snapshot pinned by PinView or PinViewAt.
 func (p *Pool) UnpinView(stamp uint64) {
 	p.pinMu.Lock()
 	if n := p.pins[stamp] - 1; n > 0 {

@@ -270,6 +270,29 @@ func TestFollowerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFollowerReadsAfterRootSplit: replicated groups land on a follower
+// without a new commit stamp, so applying one must retire the read view
+// that queries at the unchanged stamp share. Otherwise the view keeps the
+// structure roots it opened before the groups arrived, and once the item
+// records' root splits, a point read routed from the old root misses.
+func TestFollowerReadsAfterRootSplit(t *testing.T) {
+	pdb, _, paddr := openPrimary(t, 0)
+	if err := pdb.DefineSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, pdb, `Insert item (item-no := 1, name := "item 001").`)
+	r := openFollower(t, t.TempDir(), paddr)
+	waitReady(t, r.f)
+	waitConverged(t, pdb, r.db, `From item Retrieve name Where item-no = 1.`)
+
+	const n = 400 // several leaves of item records
+	for i := 2; i <= n; i++ {
+		mustExec(t, pdb, fmt.Sprintf(`Insert item (item-no := %d, name := "item %03d").`, i, i))
+	}
+	waitConverged(t, pdb, r.db, fmt.Sprintf(`From item Retrieve name Where item-no = %d.`, n))
+	waitConverged(t, pdb, r.db, `From item Retrieve name Order By name.`)
+}
+
 // TestFollowerResnapshot starves the ring so a lagging follower must be
 // re-seeded with a fresh snapshot mid-stream, and a stopped follower must
 // be re-seeded on reconnect.

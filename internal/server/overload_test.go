@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"sim/internal/obs"
 	"sim/internal/server"
@@ -84,6 +86,67 @@ func TestMaxInflightFastFail(t *testing.T) {
 		if rt, _ := rs.roundTrip(t, wire.TPing, nil); rt != wire.TPong {
 			t.Fatalf("session dead after overload: %v", rt)
 		}
+	}
+}
+
+// TestPingBypassesMaxInflight: a health probe does no engine work, so it
+// is answered even while the only in-flight slot is held. Otherwise a
+// saturated node would fail the re-probe that lets a multi-node client
+// re-admit it.
+func TestPingBypassesMaxInflight(t *testing.T) {
+	db := testDB(t)
+	_, addr := startServer(t, db, server.Config{MaxInflight: 1})
+	ctx := context.Background()
+
+	// An open transaction holds the store write latch, so an autocommit
+	// update sent over the wire blocks inside the server, holding the slot.
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tx.Rollback() }) // runs before the server shuts down
+	const upd = `Modify instructor (salary := 1) Where employee-nbr = 1001.`
+	if _, err := tx.Exec(ctx, upd); err != nil {
+		t.Fatal(err)
+	}
+	blocked := dialRaw(t, addr)
+	done := make(chan error, 1)
+	go func() {
+		if err := wire.WriteFrame(blocked, wire.TExec, wire.EncodeRequest(1, []byte(upd))); err != nil {
+			done <- err
+			return
+		}
+		rt, _, err := wire.ReadFrame(blocked, 0)
+		if err == nil && rt == wire.TError {
+			err = fmt.Errorf("update failed after the transaction rolled back")
+		}
+		done <- err
+	}()
+
+	probe := newRawSession(t, addr)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rt, resp := probe.roundTrip(t, wire.TQuery, wire.EncodeRequest(2, []byte(`From department Retrieve name.`)))
+		if rt == wire.TError {
+			if e, err := wire.DecodeError(resp); err != nil || e.Code != wire.CodeOverloaded {
+				t.Fatalf("query failed with %v (%v), want overloaded", e, err)
+			}
+			break // the blocked update holds the slot
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the blocked update never took the in-flight slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if rt, _ := probe.roundTrip(t, wire.TPing, nil); rt != wire.TPong {
+		t.Fatalf("ping with the slot held: got %v, want Pong", rt)
+	}
+
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -381,7 +381,11 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 			return werr == nil
 		}
 	}
-	if s.slots != nil {
+	// A Ping does no engine work and bypasses the in-flight gate: shed
+	// under load, it would keep a multi-node client from re-admitting this
+	// node (DESIGN.md §7).
+	gated := s.slots != nil && t != wire.TPing
+	if gated {
 		select {
 		case s.slots <- struct{}{}:
 		default:
@@ -400,7 +404,7 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 	start := time.Now()
 	rt, resp := func() (wire.Type, []byte) {
 		defer s.inflight.Done()
-		if s.slots != nil {
+		if gated {
 			// Free the slot before the response is written: a client that
 			// has read its reply may send its next request at once.
 			defer func() { <-s.slots }()

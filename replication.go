@@ -67,6 +67,10 @@ func (db *Database) ReplSnapshot(pos func() uint64) ([]byte, uint64, error) {
 func (db *Database) ApplyReplicated(pages []pager.PageImage, reloadSchema bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	// Replicated pages land without a new commit stamp, so the shared read
+	// view at the current stamp (its opened structure roots, its counts)
+	// no longer describes the store.
+	db.view.Store(nil)
 	if len(pages) > 0 {
 		if err := db.store.ApplyReplicated(pages); err != nil {
 			return err
@@ -84,6 +88,7 @@ func (db *Database) ApplyReplicated(pages []pager.PageImage, reloadSchema bool) 
 func (db *Database) ApplySnapshot(img []byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.view.Store(nil) // as in ApplyReplicated
 	if err := db.store.ReplaceImage(img); err != nil {
 		return err
 	}

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sim/internal/ast"
@@ -162,6 +163,7 @@ type Database struct {
 	mapper *luc.Mapper
 	exe    *exec.Executor
 	plans  *planCache
+	view   atomic.Pointer[readView] // newest shared statement read view
 
 	schemaHook func(gen uint64) // replication: notified after DefineSchema commits
 
@@ -442,9 +444,33 @@ func (db *Database) queryCtx(ctx context.Context, dml string) (*Result, error) {
 	// Pin the latest committed version stamp for the statement: the query
 	// traverses page versions as of this stamp, never blocking on — or
 	// being torn by — a concurrent transaction's write phase.
+	v := db.pinView()
+	defer v.snap.Release()
+	return db.queryOn(ctx, dml, v.exe, nil)
+}
+
+// readView is the read view of one published commit stamp: the pinned
+// Snap with the structures it has opened, and the mapper and executor
+// views over it. Autocommit statements at the same stamp share one.
+type readView struct {
+	snap *dmsii.Snap
+	base *exec.Executor // the db.exe it was built from; a schema rebuild replaces db.exe
+	exe  *exec.Executor
+}
+
+// pinView pins the newest published commit stamp for one statement and
+// returns the shared read view at it, building the view only on the first
+// pin of a stamp. Every pinView is paired with one Release of v.snap, so
+// the version-GC floor moves exactly as with a private snapshot per
+// statement. The caller holds db.mu (read suffices).
+func (db *Database) pinView() *readView {
+	if v := db.view.Load(); v != nil && v.base == db.exe && v.snap.Repin() {
+		return v
+	}
 	snap := db.store.PinSnapshot()
-	defer snap.Release()
-	return db.queryOn(ctx, dml, db.exe.View(db.mapper.View(snap)), nil)
+	v := &readView{snap: snap, base: db.exe, exe: db.exe.View(db.mapper.View(snap))}
+	db.view.Store(v)
+	return v
 }
 
 // queryOn parses, plans and executes one Retrieve statement on the given
@@ -537,9 +563,9 @@ func (db *Database) ExplainCtx(ctx context.Context, dml string) (string, error) 
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	snap := db.store.PinSnapshot()
-	defer snap.Release()
-	p, err := db.planRetrieveOn(ret, db.mapper.View(snap))
+	v := db.pinView()
+	defer v.snap.Release()
+	p, err := db.planRetrieveOn(ret, v.exe.Mapper())
 	if err != nil {
 		return "", err
 	}
@@ -660,9 +686,9 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 				// its own uncommitted writes.
 				r, err = db.runRetrieveOn(ctx, s, tx.readViewLocked())
 			} else {
-				snap := db.store.PinSnapshot()
-				r, err = db.runRetrieveOn(ctx, s, db.exe.View(db.mapper.View(snap)))
-				snap.Release()
+				v := db.pinView()
+				r, err = db.runRetrieveOn(ctx, s, v.exe)
+				v.snap.Release()
 			}
 			db.mu.RUnlock()
 			if err != nil {
@@ -688,9 +714,9 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 func (db *Database) CheckIntegrity() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	snap := db.store.PinSnapshot()
-	defer snap.Release()
-	exe := db.exe.View(db.mapper.View(snap))
+	v := db.pinView()
+	defer v.snap.Release()
+	exe := v.exe
 	constraints, err := integrity.Analyze(db.cat)
 	if err != nil {
 		return err

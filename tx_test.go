@@ -342,3 +342,27 @@ func TestTxUpdateSeesOwnWrites(t *testing.T) {
 	}
 	expectRows(t, mustQuery(t, db, `From teaching-assistant Retrieve name, salary.`), [][]string{{"Tina Aide", "61241"}})
 }
+
+// TestTxReadsOwnWriteAfterConcurrentQuery: an autocommit read of a row the
+// open transaction has modified decodes the committed record at the
+// published stamp; the transaction's own later read of the row must still
+// see its uncommitted write, not that decoded committed copy.
+func TestTxReadsOwnWriteAfterConcurrentQuery(t *testing.T) {
+	db := txDB(t)
+	ctx := context.Background()
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if n, err := tx.Exec(ctx, `Modify acct (bal := 200) Where id = 1.`); n != 1 || err != nil {
+		t.Fatalf("modify: n=%d err=%v", n, err)
+	}
+	const q = `From acct Retrieve bal Where id = 1.`
+	expectRows(t, mustQuery(t, db, q), [][]string{{"100"}})
+	r, err := tx.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, r, [][]string{{"200"}})
+}
