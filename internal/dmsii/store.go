@@ -570,7 +570,7 @@ func (tx *Txn) releaseWrite() {
 }
 
 // Commit durably applies the transaction. The write phase ends at the
-// commit snapshot: the dirty page images are copied and their WAL batch
+// commit snapshot: the dirty page images are captured and their WAL batch
 // enqueued while the write latch is still held (so batches hit the log in
 // write-phase order), then the latch is released and the committer waits
 // for its group's fsync — the next writer executes while this fsync is in

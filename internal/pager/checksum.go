@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"sync/atomic"
 
 	"sim/internal/obs"
@@ -36,6 +37,10 @@ func (e *CorruptPageError) Unwrap() error { return ErrCorruptPage }
 // ids map to byte offsets by id*slotSize.
 const slotSize = PageSize + 4
 
+// slotPool recycles the slot buffers ReadPage and WritePage stage a page
+// and its trailer in, so checksummed page I/O allocates nothing per call.
+var slotPool = sync.Pool{New: func() any { return new([slotSize]byte) }}
+
 // ChecksumFile is a File over byte storage with a per-page CRC32 trailer.
 // WritePage seals each page with the checksum of its contents; ReadPage
 // verifies it and returns *CorruptPageError on mismatch. This turns silent
@@ -63,7 +68,8 @@ func OpenOSFile(path string) (*ChecksumFile, error) {
 
 // ReadPage implements File, verifying the page checksum.
 func (c *ChecksumFile) ReadPage(id PageID, buf []byte) error {
-	var slot [slotSize]byte
+	slot := slotPool.Get().(*[slotSize]byte)
+	defer slotPool.Put(slot)
 	if _, err := c.bf.ReadAt(slot[:], int64(id)*slotSize); err != nil {
 		return fmt.Errorf("pager: read page %d: %w", id, err)
 	}
@@ -90,7 +96,8 @@ func (c *ChecksumFile) ReadPageRaw(id PageID, buf []byte) error {
 
 // WritePage implements File, sealing the page with its checksum.
 func (c *ChecksumFile) WritePage(id PageID, buf []byte) error {
-	var slot [slotSize]byte
+	slot := slotPool.Get().(*[slotSize]byte)
+	defer slotPool.Put(slot)
 	copy(slot[:PageSize], buf[:PageSize])
 	crc := crc32.ChecksumIEEE(slot[:PageSize])
 	slot[PageSize] = byte(crc >> 24)

@@ -1,8 +1,10 @@
 package pager
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,16 +23,16 @@ type Stats struct {
 
 // Frame is a pinned page in the pool. Callers must Release every frame
 // they Get, Prepare frames before mutating them in place, and MarkDirty
-// frames they mutated. The pins/dirty/gen/unc/elem fields are guarded by
-// the owning shard's mutex.
+// frames they mutated. The pins/dirty/listed/gen/unc/elem fields are
+// guarded by the owning shard's mutex.
 type Frame struct {
 	ID     PageID
 	Data   []byte // PageSize bytes
 	pins   int
 	dirty  bool
+	listed bool          // on the shard's dirtied list: dirtied since the shard's last capture
 	unc    bool          // holds uncommitted bytes: Data was re-buffered by Prepare/Allocate and not yet captured
-	gen    uint64        // bumped on every MarkDirty/Allocate; see Snapshot
-	capGen uint64        // gen when last captured by a Snapshot
+	gen    uint64        // bumped on every MarkDirty/Allocate; see WriteBack
 	elem   *list.Element // position in the shard LRU list when unpinned
 }
 
@@ -59,6 +61,30 @@ type shard struct {
 	lru      *list.List               // unpinned frames, least recently used at front
 	versions map[PageID][]pageVersion // committed pre-images, ascending stamp
 	stamps   map[PageID]uint64        // latest commit stamp that captured the page (absent = 0, "as old as the file")
+	dirtied  []*Frame                 // frames dirtied since the last Snapshot/DiscardDirty/DropAll, each once
+}
+
+// markDirtyLocked records a mutation of f: it bumps the dirty generation
+// and, the first time since the shard's last capture, puts f on the
+// dirtied list, so Snapshot visits only the frames a commit changed.
+// Called with sh.mu held.
+func (sh *shard) markDirtyLocked(f *Frame) {
+	f.dirty = true
+	f.gen++
+	if !f.listed {
+		f.listed = true
+		sh.dirtied = append(sh.dirtied, f)
+	}
+}
+
+// resetDirtiedLocked empties the dirtied list, dropping its pointers so
+// frames the pool has let go of can be collected. Called with sh.mu held.
+func (sh *shard) resetDirtiedLocked() {
+	for _, f := range sh.dirtied {
+		f.listed = false
+	}
+	clear(sh.dirtied)
+	sh.dirtied = sh.dirtied[:0]
 }
 
 // Pool is a pinning buffer pool over a page File, sharded by page number
@@ -198,9 +224,8 @@ func (p *Pool) Allocate() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.dirty = true
 	f.unc = true
-	f.gen++
+	sh.markDirtyLocked(f)
 	return f, nil
 }
 
@@ -227,8 +252,7 @@ func (p *Pool) AllocateAt(id PageID) (*Frame, error) {
 			f.Data[i] = 0
 		}
 	}
-	f.dirty = true
-	f.gen++
+	sh.markDirtyLocked(f)
 	return f, nil
 }
 
@@ -492,14 +516,13 @@ func (p *Pool) Release(f *Frame) {
 }
 
 // MarkDirty records that the frame's contents changed. Every call bumps
-// the frame's dirty generation, so a commit snapshot taken between two
-// mutations can tell whether the frame changed again after it was copied.
+// the frame's dirty generation, so a write-back of an earlier commit
+// snapshot can tell whether the frame changed again after it was captured.
 func (p *Pool) MarkDirty(f *Frame) {
 	sh := p.shardOf(f.ID)
 	p.lock(sh)
 	defer sh.mu.Unlock()
-	f.dirty = true
-	f.gen++
+	sh.markDirtyLocked(f)
 }
 
 // DirtyPages returns the ids and contents of all dirty frames, sorted by
@@ -544,6 +567,7 @@ func (p *Pool) DiscardDirty() error {
 			}
 			delete(sh.frames, id)
 		}
+		sh.resetDirtiedLocked()
 		sh.mu.Unlock()
 	}
 	n, err := p.file.NumPages()
@@ -607,6 +631,7 @@ func (p *Pool) DropAll() error {
 		for id := range sh.stamps {
 			delete(sh.stamps, id)
 		}
+		sh.resetDirtiedLocked()
 		sh.mu.Unlock()
 	}
 	n, err := p.file.NumPages()
@@ -626,17 +651,19 @@ func (p *Pool) WriteBackDirty() error {
 }
 
 // snapPage is one dirty frame captured by Snapshot: the frame, the dirty
-// generation at capture time, and a private copy of its bytes.
+// generation at capture time, and the frame's buffer as captured. The
+// buffer is never written again (see Snapshot), so it needs no copy.
 type snapPage struct {
 	f    *Frame
 	gen  uint64
 	data []byte
 }
 
-// Snapshot is a point-in-time copy of the pool's dirty frames, taken at
-// commit. The copies are what the WAL journals and what WriteBack later
-// writes to the database file, so the committing transaction's images
-// stay stable even while later transactions re-dirty the same frames.
+// Snapshot is a point-in-time capture of the pool's dirty frames, taken at
+// commit. Its images are what the WAL journals and what WriteBack later
+// writes to the database file; they stay stable even while later
+// transactions re-dirty the same frames, because a captured buffer is
+// never written again.
 type Snapshot struct {
 	pages []snapPage
 	stamp uint64
@@ -650,8 +677,9 @@ func (s *Snapshot) Stamp() uint64 { return s.stamp }
 // Len returns the number of captured pages.
 func (s *Snapshot) Len() int { return len(s.pages) }
 
-// Frames returns the snapshot as detached frames (copied data), sorted by
-// page id — the shape the WAL journals.
+// Frames returns the snapshot as detached frames sorted by page id — the
+// shape the WAL journals. Each frame's Data aliases the captured buffer,
+// which is immutable.
 func (s *Snapshot) Frames() []*Frame {
 	out := make([]*Frame, len(s.pages))
 	for i, sp := range s.pages {
@@ -660,36 +688,42 @@ func (s *Snapshot) Frames() []*Frame {
 	return out
 }
 
-// Snapshot captures the dirty frames the committing transaction changed:
-// a copy of each frame's bytes plus its dirty generation, sorted by page
-// id. A dirty frame whose generation is unchanged since an earlier
-// snapshot captured it is skipped — that predecessor's commit already
-// journaled the identical image (and its queued WriteBack will write it),
-// so re-capturing would only grow WAL batches with the depth of the
-// commit pipeline. Replay stays correct because WAL batches are appended
-// in commit order: a durable batch implies every predecessor batch is
-// durable too. The caller must hold the store's write latch so no writer
-// mutates frames mid-copy; concurrent readers are fine.
+// Snapshot captures the frames the committing transaction dirtied: each
+// frame's own buffer plus its dirty generation, sorted by page id. Only
+// the shards' dirtied lists are visited, so the cost follows the pages the
+// commit changed, not the pool size. A frame already captured by an
+// earlier snapshot and not dirtied since is not on a list — that
+// predecessor's commit journaled the identical image (and its queued
+// WriteBack will write it), so re-capturing would only grow WAL batches
+// with the depth of the commit pipeline. Replay stays correct because WAL
+// batches are appended in commit order: a durable batch implies every
+// predecessor batch is durable too.
+//
+// Capture ends the frame's copy-on-write cycle (unc is cleared), so the
+// next writer's Prepare swaps in a fresh buffer before it writes anything:
+// a captured buffer is never written again, and the WAL and WriteBack can
+// read it without a copy. The caller must hold the store's write latch so
+// no writer mutates frames mid-capture; concurrent readers are fine.
 func (p *Pool) Snapshot() *Snapshot {
 	snap := &Snapshot{stamp: p.stampSeq.Add(1)}
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.dirty && f.gen != f.capGen {
-				f.capGen = f.gen
-				data := make([]byte, len(f.Data))
-				copy(data, f.Data)
-				snap.pages = append(snap.pages, snapPage{f: f, gen: f.gen, data: data})
+		for _, f := range sh.dirtied {
+			// A listed frame is clean only when a quiescent write-back
+			// (format time) already wrote it.
+			if f.dirty {
+				snap.pages = append(snap.pages, snapPage{f: f, gen: f.gen, data: f.Data})
 				// The frame now holds this commit's image: stamp it and
 				// end the copy-on-write cycle Prepare opened.
 				sh.stamps[f.ID] = snap.stamp
 				f.unc = false
 			}
 		}
+		sh.resetDirtiedLocked()
 		sh.mu.Unlock()
 	}
-	sort.Slice(snap.pages, func(i, j int) bool { return snap.pages[i].f.ID < snap.pages[j].f.ID })
+	slices.SortFunc(snap.pages, func(a, b snapPage) int { return cmp.Compare(a.f.ID, b.f.ID) })
 	return snap
 }
 

@@ -134,7 +134,9 @@ func (p *Publisher) Latest() uint64 {
 
 // publish is the commit hook: it runs on the committing goroutine under
 // the WAL's flush lock, so groups arrive in commit order. The image
-// bytes alias commit-internal buffers and are copied here. It returns
+// bytes alias the committers' buffers and are copied here: transaction
+// commits hand the WAL immutable snapshot captures, but formatting a
+// database journals live pool frames through Log.Commit. It returns
 // the position the group published at, which the WAL copies into the
 // committers' CommitTraces.
 func (p *Publisher) publish(g wal.CommitGroup) uint64 {

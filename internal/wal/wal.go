@@ -269,7 +269,8 @@ func (l *Log) Commit(frames []*pager.Frame) error {
 // containing it. Batches are flushed in enqueue order, so callers that
 // must preserve commit order (the store's commit pipeline) serialize
 // their Enqueue calls. The frame images must stay unchanged until Wait
-// returns (the store passes detached snapshot copies).
+// returns: the store passes its commit snapshot's captured buffers, which
+// are never written again.
 func (l *Log) Enqueue(frames []*pager.Frame) *Pending {
 	return l.EnqueueTraced(frames, 0, nil)
 }
@@ -418,7 +419,8 @@ func (l *Log) flush(batch []*pendingCommit) {
 // order plus the request IDs that rode the group. Hooks run under the
 // flush lock, so they observe groups in commit order; they must be fast
 // (they extend the commit path) and must copy the image bytes before
-// returning — the Data slices alias the committers' snapshot buffers.
+// returning — the Data slices alias the committers' buffers, which are
+// live pool frames for a Commit of DirtyPages (database formatting).
 // The returned value is the replication position the group published at
 // (0 when unreplicated), copied into each member's CommitTrace. The
 // replication publisher is the only intended client.
