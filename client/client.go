@@ -14,12 +14,14 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"sim"
@@ -86,8 +88,15 @@ type Conn struct {
 
 	reqMu  chan struct{} // capacity-1 semaphore serializing requests
 	nc     net.Conn
-	reused bool   // current nc has completed at least one request
-	gen    uint64 // bumped when nc is replaced; transactions pin to it
+	br     *bufio.Reader // reads nc: one read syscall per response frame
+	rbuf   []byte        // reused response buffer (see readBufMax)
+	reused bool          // current nc has completed at least one request
+	gen    uint64        // bumped when nc is replaced; transactions pin to it
+
+	// cancelling tracks a context.AfterFunc that is interrupting the
+	// current attempt, so the attempt returns only after it is done and a
+	// late deadline cannot land on the next request.
+	cancelling sync.WaitGroup
 
 	retries *obs.Counter // nil without a registry
 	redials *obs.Counter
@@ -131,9 +140,24 @@ func DialConfigCtx(ctx context.Context, addr string, cfg Config) (*Conn, error) 
 	if err != nil {
 		return nil, err
 	}
-	c.nc = nc
+	c.attach(nc)
 	c.gen = 1
 	return c, nil
+}
+
+// readBufMax caps the response buffer a Conn keeps between requests: a
+// rare huge result is read into a buffer of its own and dropped.
+const readBufMax = 1 << 20
+
+// attach makes nc the connection requests run on, reading it through the
+// Conn's buffered reader.
+func (c *Conn) attach(nc net.Conn) {
+	c.nc = nc
+	if c.br == nil {
+		c.br = bufio.NewReader(nc)
+	} else {
+		c.br.Reset(nc)
+	}
 }
 
 // connect dials and completes the Hello exchange under ctx.
@@ -211,7 +235,7 @@ func (c *Conn) backoff(ctx context.Context, attempt int) error {
 // Close closes the connection. The Conn is unusable afterwards.
 func (c *Conn) Close() error {
 	c.reqMu <- struct{}{}
-	defer func() { <-c.reqMu }()
+	defer c.unlock()
 	if c.nc == nil {
 		return nil
 	}
@@ -224,6 +248,18 @@ func (c *Conn) Close() error {
 // errClosed reports use of an explicitly closed Conn.
 var errClosed = errors.New("client: connection closed")
 
+// lock takes the request semaphore, or gives up when ctx ends first.
+func (c *Conn) lock(ctx context.Context) error {
+	select {
+	case c.reqMu <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (c *Conn) unlock() { <-c.reqMu }
+
 // roundTrip sends one request and reads its one response, transparently
 // retrying retryable failures with exponential backoff: broken or
 // refused connections, and CodeOverloaded/CodeBusy fast-fails from the
@@ -231,13 +267,8 @@ var errClosed = errors.New("client: connection closed")
 // this process (the send itself failed) — a broken connection after a
 // successful send means the update may have applied, and retrying would
 // double-apply it. Idempotent requests retry in every retryable case.
+// The caller holds the request lock; the response aliases c.rbuf.
 func (c *Conn) roundTrip(ctx context.Context, t wire.Type, payload []byte, idempotent bool) (wire.Type, []byte, error) {
-	select {
-	case c.reqMu <- struct{}{}:
-	case <-ctx.Done():
-		return 0, nil, ctx.Err()
-	}
-	defer func() { <-c.reqMu }()
 	if c.nc == nil && c.addr == "" {
 		return 0, nil, errClosed
 	}
@@ -270,7 +301,8 @@ func (c *Conn) roundTrip(ctx context.Context, t wire.Type, payload []byte, idemp
 				}
 				return 0, nil, err
 			}
-			c.nc, c.reused = nc, false
+			c.attach(nc)
+			c.reused = false
 			c.gen++
 			if c.redials != nil {
 				c.redials.Inc()
@@ -305,6 +337,9 @@ func (c *Conn) roundTrip(ctx context.Context, t wire.Type, payload []byte, idemp
 
 // attempt performs one send/receive on the current connection. sendFailed
 // distinguishes "the request never made it out" from a response failure.
+// The response is read into c.rbuf and stays valid until the next attempt.
+// A context that ends mid-attempt interrupts it by moving the socket
+// deadline to now; no goroutine waits on it.
 func (c *Conn) attempt(ctx context.Context, t wire.Type, payload []byte) (rt wire.Type, resp []byte, sendFailed bool, err error) {
 	nc := c.nc
 	if d, ok := ctx.Deadline(); ok {
@@ -312,23 +347,29 @@ func (c *Conn) attempt(ctx context.Context, t wire.Type, payload []byte) (rt wir
 	} else {
 		nc.SetDeadline(time.Time{})
 	}
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				nc.SetDeadline(time.Now())
-			case <-stop:
+	if ctx.Done() != nil {
+		c.cancelling.Add(1)
+		stop := context.AfterFunc(ctx, func() {
+			defer c.cancelling.Done()
+			nc.SetDeadline(time.Now())
+		})
+		defer func() {
+			if stop() {
+				c.cancelling.Done() // never ran, never will
+			} else {
+				c.cancelling.Wait()
 			}
 		}()
 	}
 	if err := wire.WriteFrame(nc, t, payload); err != nil {
 		return 0, nil, true, &NetError{Op: "send", Addr: c.addr, Retryable: true, Err: err}
 	}
-	rt, resp, err = wire.ReadFrame(nc, c.cfg.MaxFrame)
+	rt, resp, err = wire.ReadFrameBuf(c.br, c.cfg.MaxFrame, c.rbuf[:cap(c.rbuf)])
 	if err != nil {
 		return 0, nil, false, &NetError{Op: "receive", Addr: c.addr, Retryable: true, Err: err}
+	}
+	if cap(resp) > cap(c.rbuf) && cap(resp) <= readBufMax {
+		c.rbuf = resp[:0]
 	}
 	return rt, resp, false, nil
 }
@@ -342,24 +383,53 @@ func req(body []byte) []byte {
 	return wire.EncodeRequest(obs.NewRequestID(), body)
 }
 
-// call runs a request expecting response type want; a TError response
-// decodes into *wire.Error.
-func (c *Conn) call(ctx context.Context, t wire.Type, payload []byte, want wire.Type, idempotent bool) ([]byte, error) {
+// call runs a request expecting response type want and hands the
+// response payload to decode (nil: ignore it) before releasing the
+// request lock: the payload aliases the Conn's read buffer, which the
+// next request reuses, so decode must copy whatever it keeps (every wire
+// decoder does). A TError response decodes into *wire.Error.
+func (c *Conn) call(ctx context.Context, t wire.Type, payload []byte, want wire.Type, idempotent bool, decode func([]byte) error) error {
+	if err := c.lock(ctx); err != nil {
+		return err
+	}
+	defer c.unlock()
 	rt, resp, err := c.roundTrip(ctx, t, payload, idempotent)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	return accept(t, want, rt, resp, decode)
+}
+
+// into returns a decode callback for call that stores dec's result in v.
+// Every dec returns its zero value with an error, so v reads as before
+// when the call fails.
+func into[T any](v *T, dec func([]byte) (T, error)) func([]byte) error {
+	return func(b []byte) (err error) {
+		*v, err = dec(b)
+		return err
+	}
+}
+
+// decodeText copies a text payload (Explain, Introspect).
+func decodeText(b []byte) (string, error) { return string(b), nil }
+
+// accept checks a response of type rt to a request of type t and decodes
+// it: want goes to decode, TError becomes a *wire.Error.
+func accept(t, want, rt wire.Type, resp []byte, decode func([]byte) error) error {
 	switch rt {
 	case want:
-		return resp, nil
+		if decode == nil {
+			return nil
+		}
+		return decode(resp)
 	case wire.TError:
 		e, derr := wire.DecodeError(resp)
 		if derr != nil {
-			return nil, derr
+			return derr
 		}
-		return nil, e
+		return e
 	default:
-		return nil, fmt.Errorf("client: unexpected %v response to %v", rt, t)
+		return fmt.Errorf("client: unexpected %v response to %v", rt, t)
 	}
 }
 
@@ -371,11 +441,9 @@ func (c *Conn) Query(dml string) (*sim.Result, error) {
 // QueryCtx is Query under a context; the deadline also bounds server-side
 // execution when the server is configured with request timeouts.
 func (c *Conn) QueryCtx(ctx context.Context, dml string) (*sim.Result, error) {
-	resp, err := c.call(ctx, wire.TQuery, req([]byte(dml)), wire.TResult, true)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResult(resp)
+	var res *sim.Result
+	err := c.call(ctx, wire.TQuery, req([]byte(dml)), wire.TResult, true, into(&res, wire.DecodeResult))
+	return res, err
 }
 
 // QueryTrace executes one Retrieve statement on the server and returns
@@ -387,11 +455,16 @@ func (c *Conn) QueryTrace(dml string) (*sim.Result, wire.TraceInfo, error) {
 
 // QueryTraceCtx is QueryTrace under a context.
 func (c *Conn) QueryTraceCtx(ctx context.Context, dml string) (*sim.Result, wire.TraceInfo, error) {
-	resp, err := c.call(ctx, wire.TQueryTrace, req([]byte(dml)), wire.TResultTrace, true)
+	var res *sim.Result
+	var ti wire.TraceInfo
+	err := c.call(ctx, wire.TQueryTrace, req([]byte(dml)), wire.TResultTrace, true, func(b []byte) (err error) {
+		res, ti, err = wire.DecodeResultTrace(b)
+		return err
+	})
 	if err != nil {
 		return nil, wire.TraceInfo{}, err
 	}
-	return wire.DecodeResultTrace(resp)
+	return res, ti, nil
 }
 
 // ExplainAnalyze executes the statement on the server and returns the
@@ -419,11 +492,9 @@ func (c *Conn) Exec(dml string) (int, error) {
 // NOT retried (the update may have applied); only requests that never
 // left this process are.
 func (c *Conn) ExecCtx(ctx context.Context, dml string) (int, error) {
-	resp, err := c.call(ctx, wire.TExec, req([]byte(dml)), wire.TExecOK, false)
-	if err != nil {
-		return 0, err
-	}
-	return wire.DecodeCount(resp)
+	var n int
+	err := c.call(ctx, wire.TExec, req([]byte(dml)), wire.TExecOK, false, into(&n, wire.DecodeCount))
+	return n, err
 }
 
 // Explain returns the server optimizer's strategy for a Retrieve.
@@ -433,20 +504,19 @@ func (c *Conn) Explain(dml string) (string, error) {
 
 // ExplainCtx is Explain under a context.
 func (c *Conn) ExplainCtx(ctx context.Context, dml string) (string, error) {
-	resp, err := c.call(ctx, wire.TExplain, []byte(dml), wire.TExplainOK, true)
-	return string(resp), err
+	var text string
+	err := c.call(ctx, wire.TExplain, []byte(dml), wire.TExplainOK, true, into(&text, decodeText))
+	return text, err
 }
 
 // Ping checks liveness end to end.
 func (c *Conn) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, wire.TPing, nil, wire.TPong, true)
-	return err
+	return c.call(ctx, wire.TPing, nil, wire.TPong, true, nil)
 }
 
 // Checkpoint asks the server to checkpoint the database.
 func (c *Conn) Checkpoint(ctx context.Context) error {
-	_, err := c.call(ctx, wire.TCheckpoint, nil, wire.TOK, true)
-	return err
+	return c.call(ctx, wire.TCheckpoint, nil, wire.TOK, true, nil)
 }
 
 // ReplStatus returns the server's replication role and progress: the
@@ -454,11 +524,9 @@ func (c *Conn) Checkpoint(ctx context.Context) error {
 // the follower's own applied position on a replica; role "none" on a
 // server without replication.
 func (c *Conn) ReplStatus(ctx context.Context) (wire.ReplStatus, error) {
-	resp, err := c.call(ctx, wire.TReplStatus, nil, wire.TReplStatusOK, true)
-	if err != nil {
-		return wire.ReplStatus{}, err
-	}
-	return wire.DecodeReplStatus(resp)
+	var st wire.ReplStatus
+	err := c.call(ctx, wire.TReplStatus, nil, wire.TReplStatusOK, true, into(&st, wire.DecodeReplStatus))
+	return st, err
 }
 
 // Addr returns the address this connection dials.
@@ -473,11 +541,9 @@ func (c *Conn) Addr() string { return c.addr }
 // Not retried: a promotion that half-happened should be observed, not
 // transparently repeated.
 func (c *Conn) Promote(ctx context.Context) (uint64, error) {
-	resp, err := c.call(ctx, wire.TPromote, nil, wire.TPromoteOK, false)
-	if err != nil {
-		return 0, err
-	}
-	return wire.DecodePromoteOK(resp)
+	var epoch uint64
+	err := c.call(ctx, wire.TPromote, nil, wire.TPromoteOK, false, into(&epoch, wire.DecodePromoteOK))
+	return epoch, err
 }
 
 // Retarget delivers a fencing/re-point notice: "epoch exists; its primary
@@ -488,17 +554,14 @@ func (c *Conn) Promote(ctx context.Context) (uint64, error) {
 // automation is down.
 func (c *Conn) Retarget(ctx context.Context, epoch uint64, addr string) error {
 	payload := wire.EncodeRetarget(wire.Retarget{Epoch: epoch, Addr: addr})
-	_, err := c.call(ctx, wire.TRetarget, payload, wire.TOK, false)
-	return err
+	return c.call(ctx, wire.TRetarget, payload, wire.TOK, false, nil)
 }
 
 // ServerStats returns the server's lifetime counters.
 func (c *Conn) ServerStats(ctx context.Context) (wire.ServerStats, error) {
-	resp, err := c.call(ctx, wire.TStats, nil, wire.TStatsOK, true)
-	if err != nil {
-		return wire.ServerStats{}, err
-	}
-	return wire.DecodeServerStats(resp)
+	var st wire.ServerStats
+	err := c.call(ctx, wire.TStats, nil, wire.TStatsOK, true, into(&st, wire.DecodeServerStats))
+	return st, err
 }
 
 // Introspect returns a rendered server-side introspection report:
@@ -506,9 +569,7 @@ func (c *Conn) ServerStats(ctx context.Context) (wire.ServerStats, error) {
 // structured events — commits, flushes, conflicts, replication traffic),
 // wire.IntrospectHot the latch contention profile.
 func (c *Conn) Introspect(ctx context.Context, kind byte) (string, error) {
-	resp, err := c.call(ctx, wire.TIntrospect, []byte{kind}, wire.TIntrospectOK, true)
-	if err != nil {
-		return "", err
-	}
-	return string(resp), nil
+	var text string
+	err := c.call(ctx, wire.TIntrospect, []byte{kind}, wire.TIntrospectOK, true, into(&text, decodeText))
+	return text, err
 }

@@ -67,7 +67,7 @@ func (c *Conn) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 	if o.readOnly {
 		payload = wire.EncodeBegin(obs.NewRequestID(), wire.BeginReadOnly)
 	}
-	if _, err := c.call(ctx, wire.TBegin, payload, wire.TOK, true); err != nil {
+	if err := c.call(ctx, wire.TBegin, payload, wire.TOK, true, nil); err != nil {
 		return nil, err
 	}
 	return &Tx{c: c, gen: c.currentGen(), ro: o.readOnly}, nil
@@ -79,22 +79,18 @@ func (tx *Tx) ReadOnly() bool { return tx.ro }
 
 // Query executes one Retrieve statement inside the transaction.
 func (tx *Tx) Query(ctx context.Context, dml string) (*sim.Result, error) {
-	resp, err := tx.op(ctx, wire.TQuery, req([]byte(dml)), wire.TResult)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResult(resp)
+	var res *sim.Result
+	err := tx.op(ctx, wire.TQuery, req([]byte(dml)), wire.TResult, into(&res, wire.DecodeResult))
+	return res, err
 }
 
 // Exec executes one update statement inside the transaction and returns
 // the affected-entity count. A server-side statement failure aborts the
 // transaction (see sim.Tx); a conflict (wire.CodeConflict) does not.
 func (tx *Tx) Exec(ctx context.Context, dml string) (int, error) {
-	resp, err := tx.op(ctx, wire.TExec, req([]byte(dml)), wire.TExecOK)
-	if err != nil {
-		return 0, err
-	}
-	return wire.DecodeCount(resp)
+	var n int
+	err := tx.op(ctx, wire.TExec, req([]byte(dml)), wire.TExecOK, into(&n, wire.DecodeCount))
+	return n, err
 }
 
 // Commit durably applies the transaction. It is never retried: a
@@ -106,8 +102,7 @@ func (tx *Tx) Commit(ctx context.Context) error {
 		return ErrTxFinished
 	}
 	tx.done = true
-	_, err := tx.c.txCall(ctx, tx.gen, wire.TCommit, req(nil), wire.TOK)
-	return err
+	return tx.c.txCall(ctx, tx.gen, wire.TCommit, req(nil), wire.TOK, nil)
 }
 
 // TraceCommit is Commit with a server-side span breakdown: it returns
@@ -121,11 +116,9 @@ func (tx *Tx) TraceCommit(ctx context.Context) (wire.CommitInfo, error) {
 		return wire.CommitInfo{}, ErrTxFinished
 	}
 	tx.done = true
-	resp, err := tx.c.txCall(ctx, tx.gen, wire.TTraceCommit, req(nil), wire.TCommitTraced)
-	if err != nil {
-		return wire.CommitInfo{}, err
-	}
-	return wire.DecodeCommitInfo(resp)
+	var ci wire.CommitInfo
+	err := tx.c.txCall(ctx, tx.gen, wire.TTraceCommit, req(nil), wire.TCommitTraced, into(&ci, wire.DecodeCommitInfo))
+	return ci, err
 }
 
 // Rollback discards the transaction. A lost connection still reports
@@ -136,38 +129,36 @@ func (tx *Tx) Rollback(ctx context.Context) error {
 		return nil
 	}
 	tx.done = true
-	_, err := tx.c.txCall(ctx, tx.gen, wire.TRollback, req(nil), wire.TOK)
-	return err
+	return tx.c.txCall(ctx, tx.gen, wire.TRollback, req(nil), wire.TOK, nil)
 }
 
 // op runs one in-transaction statement request.
-func (tx *Tx) op(ctx context.Context, t wire.Type, payload []byte, want wire.Type) ([]byte, error) {
+func (tx *Tx) op(ctx context.Context, t wire.Type, payload []byte, want wire.Type, decode func([]byte) error) error {
 	if tx.done {
-		return nil, ErrTxFinished
+		return ErrTxFinished
 	}
-	return tx.c.txCall(ctx, tx.gen, t, payload, want)
+	return tx.c.txCall(ctx, tx.gen, t, payload, want, decode)
 }
 
 // currentGen reads the connection generation under the request lock.
 func (c *Conn) currentGen() uint64 {
 	c.reqMu <- struct{}{}
-	defer func() { <-c.reqMu }()
+	defer c.unlock()
 	return c.gen
 }
 
 // txCall performs one request pinned to connection generation gen: no
 // redial, no retry. Any transport failure — or a generation mismatch,
 // meaning some other request already redialed — closes the transaction's
-// window and surfaces fatal ErrTxLost.
-func (c *Conn) txCall(ctx context.Context, gen uint64, t wire.Type, payload []byte, want wire.Type) ([]byte, error) {
-	select {
-	case c.reqMu <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// window and surfaces fatal ErrTxLost. The response goes to decode under
+// the request lock, as in call.
+func (c *Conn) txCall(ctx context.Context, gen uint64, t wire.Type, payload []byte, want wire.Type, decode func([]byte) error) error {
+	if err := c.lock(ctx); err != nil {
+		return err
 	}
-	defer func() { <-c.reqMu }()
+	defer c.unlock()
 	if c.nc == nil && c.addr == "" {
-		return nil, errClosed
+		return errClosed
 	}
 	lost := func(cause error) error {
 		err := ErrTxLost
@@ -177,27 +168,16 @@ func (c *Conn) txCall(ctx context.Context, gen uint64, t wire.Type, payload []by
 		return &NetError{Op: "transaction", Addr: c.addr, Retryable: false, Err: err}
 	}
 	if c.nc == nil || c.gen != gen {
-		return nil, lost(nil)
+		return lost(nil)
 	}
 	rt, resp, _, err := c.attempt(ctx, t, payload)
 	if err != nil {
 		c.nc.Close()
 		c.nc, c.reused = nil, false
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return nil, lost(err)
+		return lost(err)
 	}
-	switch rt {
-	case want:
-		return resp, nil
-	case wire.TError:
-		e, derr := wire.DecodeError(resp)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, e
-	default:
-		return nil, fmt.Errorf("client: unexpected %v response to %v", rt, t)
-	}
+	return accept(t, want, rt, resp, decode)
 }

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -16,7 +17,14 @@ type Tree struct {
 	a            Alloc
 	root         pager.PageID
 	onRootChange func(pager.PageID) error
+	// frozen marks a handle over pages that never change while it lives
+	// (a snapshot read view). Its cursors may answer a seek from the leaf
+	// they already hold; mutations fail.
+	frozen bool
 }
+
+// errFrozen rejects mutation through a frozen handle.
+var errFrozen = errors.New("btree: tree handle is frozen (read-only)")
 
 // Create allocates an empty tree (a single leaf root).
 func Create(a Alloc) (*Tree, error) {
@@ -37,6 +45,15 @@ func Open(a Alloc, root pager.PageID, onRootChange func(pager.PageID) error) *Tr
 	return &Tree{a: a, root: root, onRootChange: onRootChange}
 }
 
+// OpenFrozen attaches a read-only handle to a tree whose pages, as seen
+// through a, stay byte-identical for the handle's lifetime — a pinned
+// snapshot view. Put, Delete and Drop fail on it. Because no leaf can
+// change, a cursor that holds a leaf copy read through this same handle
+// may answer a later seek from that copy (see SeekInto).
+func OpenFrozen(a Alloc, root pager.PageID) *Tree {
+	return &Tree{a: a, root: root, frozen: true}
+}
+
 // Root returns the current root page id.
 func (t *Tree) Root() pager.PageID { return t.root }
 
@@ -50,6 +67,9 @@ type split struct {
 
 // Put inserts or replaces the value for key.
 func (t *Tree) Put(key, val []byte) error {
+	if t.frozen {
+		return errFrozen
+	}
 	if len(key) > maxKey {
 		return fmt.Errorf("btree: key of %d bytes exceeds the %d-byte limit", len(key), maxKey)
 	}
@@ -329,6 +349,9 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 // left in place (lazy space reclamation); their pages are recovered when
 // the tree is dropped.
 func (t *Tree) Delete(key []byte) (bool, error) {
+	if t.frozen {
+		return false, errFrozen
+	}
 	id := t.root
 	for {
 		f, err := t.a.Get(id)
@@ -367,6 +390,9 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 
 // Drop frees every page of the tree, including overflow chains.
 func (t *Tree) Drop() error {
+	if t.frozen {
+		return errFrozen
+	}
 	return t.drop(t.root)
 }
 

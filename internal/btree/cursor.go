@@ -13,7 +13,7 @@ import (
 // The tree may be read (but not mutated) concurrently; the executor
 // materializes update target lists before mutating.
 type Cursor struct {
-	t         *Tree
+	t         *Tree       // tree positioned in; when non-nil, leaf is one of its leaves
 	leaf      pager.Frame // private copy of the current leaf; Data is reused
 	i         int
 	key, val  []byte // the current cell, capacity-capped
@@ -22,6 +22,8 @@ type Cursor struct {
 	err       error
 	prefix    []byte // non-nil: iteration stops when keys leave this prefix
 	prefixBuf []byte // reused backing for prefix across SeekPrefixInto calls
+	lo        []byte // lower fence of the held leaf; nil: its first key (see holds)
+	loBuf     []byte // reused backing for lo
 }
 
 // First returns a cursor positioned at the smallest key.
@@ -39,11 +41,55 @@ func (t *Tree) Seek(key []byte) (*Cursor, error) {
 // SeekInto positions c at the first key >= key, reusing c's internal
 // buffers. A zero Cursor is ready for use; reusing one across seeks makes
 // repeated point probes allocation-free in the steady state.
+//
+// On a frozen tree, a cursor that already holds a leaf of this same
+// handle, whose key range brackets key, searches that copy instead of
+// descending from the root: the lower bound of key lies in that leaf, and
+// the leaf cannot have changed. This is the paper's next-instance cost
+// for probes that walk a structure in key order. Live (mutable) handles
+// always descend.
 func (t *Tree) SeekInto(c *Cursor, key []byte) error {
+	held := c.holds(t, key)
 	c.t = t
 	c.err = nil
 	c.valid = false
 	c.prefix = nil
+	if !held {
+		if err := t.descend(c, key); err != nil {
+			c.t = nil // the leaf copy may belong to another tree
+			return err
+		}
+	}
+	i, _ := leafSearch(node{&c.leaf}, key)
+	c.settle(i)
+	return c.err
+}
+
+// holds reports whether c may answer a seek for key in t from the leaf
+// it holds: t is frozen, the leaf was read through t, and key falls
+// between the leaf's lower fence and its last key. The fence is the
+// leaf's first key, or, when the cursor reached the leaf by walking off
+// the end of a non-empty left sibling, the key just above that sibling's
+// last key: no key of the tree lies between the two.
+func (c *Cursor) holds(t *Tree, key []byte) bool {
+	if !t.frozen || c.t != t {
+		return false
+	}
+	n := node{&c.leaf}
+	nc := n.nCells()
+	if nc == 0 {
+		return false
+	}
+	lo := c.lo
+	if lo == nil {
+		lo = n.leafKey(0)
+	}
+	return bytes.Compare(lo, key) <= 0 && bytes.Compare(key, n.leafKey(nc-1)) <= 0
+}
+
+// descend walks from the root to the leaf that may hold key and copies it
+// into c.
+func (t *Tree) descend(c *Cursor, key []byte) error {
 	id := t.root
 	for {
 		f, err := t.a.Get(id)
@@ -62,12 +108,10 @@ func (t *Tree) SeekInto(c *Cursor, key []byte) error {
 			continue
 		}
 		c.load(f)
+		c.lo = nil
 		t.a.Release(f)
-		break
+		return nil
 	}
-	i, _ := leafSearch(node{&c.leaf}, key)
-	c.settle(i)
-	return c.err
 }
 
 // SeekPrefix returns a cursor over exactly the keys beginning with prefix.
@@ -113,6 +157,12 @@ func (c *Cursor) settle(i int) {
 		if err != nil {
 			c.fail(err)
 			return
+		}
+		// Keys above this leaf's last key start at the next leaf. An
+		// emptied leaf passes its own fence on.
+		if nc := n.nCells(); nc > 0 {
+			c.loBuf = append(append(c.loBuf[:0], n.leafKey(nc-1)...), 0)
+			c.lo = c.loBuf
 		}
 		c.load(f)
 		c.t.a.Release(f)

@@ -54,7 +54,12 @@ func (a *snapAlloc) MarkDirty(*pager.Frame)           {}
 // transactions commit. A Snap is safe for concurrent readers (parallel
 // query workers share one). Each reader's pin — PinSnapshot, or Repin
 // for a reader sharing the Snap — is paired with one Release, which is
-// what lets version GC reclaim old page images.
+// what lets version GC reclaim old page images. Its directory and
+// structure trees are frozen B+tree handles (btree.OpenFrozen): nothing
+// they reach changes at the pinned stamp, so a cursor may answer a seek
+// from the leaf it already holds. The one exception is a follower, where
+// replicated pages land without a new stamp; the database layer retires
+// its shared view and the mapper's pooled probes on every apply.
 type Snap struct {
 	s     *Store
 	alloc *snapAlloc
@@ -132,7 +137,7 @@ func (sn *Snap) Structure(name string) (*Structure, error) {
 			return nil, err
 		}
 		root := pager.PageID(binary.BigEndian.Uint32(meta[dirRootOff:]))
-		sn.dir = btree.Open(sn.alloc, root, nil)
+		sn.dir = btree.OpenFrozen(sn.alloc, root)
 	}
 	rootBytes, found, err := sn.dir.Get([]byte(name))
 	if err != nil {
@@ -142,7 +147,7 @@ func (sn *Snap) Structure(name string) (*Structure, error) {
 		return sn.s.Structure(name)
 	}
 	root := pager.PageID(binary.BigEndian.Uint32(rootBytes))
-	st = &Structure{s: sn.s, name: name, tree: btree.Open(sn.alloc, root, nil), ro: true}
+	st = &Structure{s: sn.s, name: name, tree: btree.OpenFrozen(sn.alloc, root), ro: true}
 	sn.open[name] = st
 	return st, nil
 }

@@ -273,10 +273,19 @@ func (e *Executor) parallelOK(t *query.Tree, dom0 []inst) bool {
 // partial is one worker's ordered slice of the result.
 type partial struct {
 	rows  [][]value.Value
-	order [][]value.Value
+	order [][]value.Value // nil without ORDER BY; else parallel to rows
 	stats Stats
 	tm    *nestTrace    // nil unless traced
 	wall  time.Duration // chunk wall time (traced runs only)
+}
+
+// add records one emitted row and its ORDER BY keys.
+func (p *partial) add(row, order []value.Value) error {
+	p.rows = append(p.rows, row)
+	if order != nil {
+		p.order = append(p.order, order)
+	}
+	return nil
 }
 
 func lucBound(b plan.Bound) luc.Bound {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,7 +18,7 @@ type Result struct {
 	Stats Stats
 
 	rows   [][]value.Value
-	order  [][]value.Value
+	order  [][]value.Value // ORDER BY keys parallel to rows; nil without ORDER BY
 	seen   map[string]bool // TABLE DISTINCT dedup
 	keyBuf []byte          // reused dedup key scratch
 
@@ -138,8 +139,7 @@ func (r *Result) add(e *Executor, t *query.Tree, en *env, main []*query.Node, ro
 	if r.seen != nil && r.isDup(row) {
 		return nil
 	}
-	r.rows = append(r.rows, row)
-	r.order = append(r.order, order)
+	r.appendRow(row, order)
 	if r.Structured != nil {
 		return r.addStructured(e, t, en, main, row)
 	}
@@ -153,8 +153,23 @@ func (r *Result) addTabular(row, order []value.Value) {
 	if r.seen != nil && r.isDup(row) {
 		return
 	}
+	r.appendRow(row, order)
+}
+
+func (r *Result) appendRow(row, order []value.Value) {
 	r.rows = append(r.rows, row)
-	r.order = append(r.order, order)
+	if order != nil {
+		r.order = append(r.order, order)
+	}
+}
+
+// reserve sizes the row slices (and, for an ordered query, the ORDER BY
+// keys) for n more rows, so the parallel merge appends without regrowing.
+func (r *Result) reserve(n int, ordered bool) {
+	r.rows = slices.Grow(r.rows, n)
+	if ordered {
+		r.order = slices.Grow(r.order, n)
+	}
 }
 
 // addStructured merges the combination into the group tree: one group per

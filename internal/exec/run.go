@@ -185,11 +185,20 @@ func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Prog
 		if err != nil {
 			return nil, err
 		}
+		n := 0
+		for _, part := range parts {
+			n += len(part.rows)
+		}
+		res.reserve(n, len(prog.orderBy) > 0)
 		for _, part := range parts {
 			stats.Instances += part.stats.Instances
 			stats.Rows += part.stats.Rows
-			for ri := range part.rows {
-				res.addTabular(part.rows[ri], part.order[ri])
+			for ri, row := range part.rows {
+				var order []value.Value
+				if part.order != nil {
+					order = part.order[ri]
+				}
+				res.addTabular(row, order)
 			}
 			if tm != nil {
 				for i := range tm.nanos {
@@ -208,8 +217,9 @@ func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Prog
 			}
 		}
 	} else {
-		arena := &value.Arena{}
-		emit := e.programEmitter(prog, sc, arena, res, &stats)
+		emit := programEmitter(prog, sc, &stats, func(row, order []value.Value) error {
+			return res.add(e, t, &sc.env, main, row, order)
+		})
 		done := ctx.Done()
 		for k := range dom0 {
 			if done != nil {
@@ -247,10 +257,12 @@ func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Prog
 	return res, nil
 }
 
-// programEmitter materializes one accepted combination: targets and ORDER
-// BY keys evaluate through the compiled closures into arena-backed rows.
-func (e *Executor) programEmitter(prog *Program, sc *scratch, arena *value.Arena, res *Result, stats *Stats) func() error {
-	t := prog.tree
+// programEmitter materializes one accepted combination, on the serial and
+// the parallel path alike: targets and ORDER BY keys evaluate through the
+// compiled closures into rows carved from an arena the rows' owner keeps,
+// and add records them. order is nil when the query has no ORDER BY.
+func programEmitter(prog *Program, sc *scratch, stats *Stats, add func(row, order []value.Value) error) func() error {
+	arena := &value.Arena{}
 	return func() error {
 		row := arena.Alloc(len(prog.target))
 		for i, fn := range prog.target {
@@ -272,7 +284,7 @@ func (e *Executor) programEmitter(prog *Program, sc *scratch, arena *value.Arena
 			}
 		}
 		stats.Rows++
-		return res.add(e, t, &sc.env, prog.main, row, order)
+		return add(row, order)
 	}
 }
 
@@ -403,38 +415,17 @@ func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, dom0 [
 func (e *Executor) runChunkProgram(ctx context.Context, prog *Program, chunk []inst, traced bool) (*partial, error) {
 	sc := e.getScratch(prog.nNodes)
 	defer e.putScratch(sc)
-	part := &partial{}
-	arena := &value.Arena{}
+	// Sized for one row per outer instance, the common scan-and-EVA shape.
+	part := &partial{rows: make([][]value.Value, 0, len(chunk))}
+	if len(prog.orderBy) > 0 {
+		part.order = make([][]value.Value, 0, len(chunk))
+	}
 	var chunkStart time.Time
 	if traced {
 		part.tm = newNestTrace(len(prog.main))
 		chunkStart = time.Now()
 	}
-	emit := func() error {
-		row := arena.Alloc(len(prog.target))
-		for i, fn := range prog.target {
-			v, err := fn(sc)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		var order []value.Value
-		if len(prog.orderBy) > 0 {
-			order = arena.Alloc(len(prog.orderBy))
-			for i, fn := range prog.orderBy {
-				v, err := fn(sc)
-				if err != nil {
-					return err
-				}
-				order[i] = v
-			}
-		}
-		part.stats.Rows++
-		part.rows = append(part.rows, row)
-		part.order = append(part.order, order)
-		return nil
-	}
+	emit := programEmitter(prog, sc, &part.stats, part.add)
 	done := ctx.Done()
 	for k := range chunk {
 		if done != nil {

@@ -158,7 +158,17 @@ type Mapper struct {
 	// read probes — EVA partner lookups in particular fire once per
 	// binding, so a fresh cursor per call would dominate allocations.
 	// Behind a pointer so views share one pool.
-	probes *sync.Pool // *probe
+	probes *probePool
+}
+
+// probePool is the shared probe free list. gen retires every pooled
+// probe at once: ResetCaches bumps it when replicated pages land on a
+// follower without a new commit stamp, so snapshot handles opened before
+// the apply stay frozen in name while their pages change, and a probe
+// must not answer a seek from a leaf copy it read before the apply.
+type probePool struct {
+	sync.Pool
+	gen atomic.Uint64
 }
 
 // statCache holds lazily populated entity/instance counts. statMu guards
@@ -181,17 +191,20 @@ type recCache struct {
 }
 
 // probe is one recyclable point-lookup kit: a cursor whose page and
-// overflow buffers survive across seeks, plus a key-building scratch buffer.
+// overflow buffers (and, on snapshot structures, the leaf it holds)
+// survive across seeks, plus a key-building scratch buffer.
 type probe struct {
 	cur btree.Cursor
 	key []byte
+	gen uint64 // probePool.gen when the probe was made
 }
 
 func (m *Mapper) getProbe() *probe {
-	if p, ok := m.probes.Get().(*probe); ok {
+	gen := m.probes.gen.Load()
+	if p, ok := m.probes.Get().(*probe); ok && p.gen == gen {
 		return p
 	}
-	return new(probe)
+	return &probe{gen: gen}
 }
 
 func (m *Mapper) putProbe(p *probe) { m.probes.Put(p) }
@@ -319,7 +332,7 @@ func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) 
 		surrNext: make(map[int]value.Surrogate),
 		stat:     &statCache{m: make(map[string]int64)},
 		rc:       &recCache{},
-		probes:   new(sync.Pool),
+		probes:   new(probePool),
 	}
 	for i := range m.rc.shards {
 		m.rc.shards[i].m = make(map[rcKey]rcEntry)
@@ -537,9 +550,11 @@ func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) 
 // Surrogates and statistics
 // ---------------------------------------------------------------------------
 
-// ResetCaches drops in-memory surrogate and statistics caches; the database
-// layer calls this after a rollback.
+// ResetCaches drops in-memory surrogate and statistics caches and retires
+// the pooled probes; the database layer calls this after a rollback and
+// after a replicated apply.
 func (m *Mapper) ResetCaches() {
+	m.probes.gen.Add(1)
 	m.surrNext = make(map[int]value.Surrogate)
 	m.stat.mu.Lock()
 	m.stat.m = make(map[string]int64)

@@ -76,37 +76,37 @@ func (e *EntityCursor) skipNonMembers() {
 		return
 	}
 	for e.c.Valid() {
-		roles, err := decodeRoles(e.c.Value())
+		member, err := hasRole(e.c.Value(), e.filter)
 		if err != nil {
 			e.err = err
 			return
 		}
-		for _, id := range roles {
-			if id == e.filter {
-				return
-			}
+		if member {
+			return
 		}
 		e.c.Next()
 	}
 }
 
-// decodeRoles reads just the role list from an encoded hierarchy record.
-func decodeRoles(b []byte) ([]int, error) {
+// hasRole reports whether an encoded hierarchy record's role list names
+// class id, reading the list in place.
+func hasRole(b []byte, id int) (bool, error) {
 	n, used := binary.Uvarint(b)
 	if used <= 0 {
-		return nil, fmt.Errorf("luc: corrupt record header")
+		return false, fmt.Errorf("luc: corrupt record header")
 	}
 	b = b[used:]
-	roles := make([]int, 0, n)
 	for i := uint64(0); i < n; i++ {
-		id, used := binary.Uvarint(b)
+		role, used := binary.Uvarint(b)
 		if used <= 0 {
-			return nil, fmt.Errorf("luc: corrupt role list")
+			return false, fmt.Errorf("luc: corrupt role list")
+		}
+		if int(role) == id {
+			return true, nil
 		}
 		b = b[used:]
-		roles = append(roles, int(id))
 	}
-	return roles, nil
+	return false, nil
 }
 
 // Surrogates collects every entity of cl (a convenience for small scans).

@@ -1,6 +1,7 @@
 package repl_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -293,6 +294,55 @@ func TestFollowerReadsAfterRootSplit(t *testing.T) {
 	waitConverged(t, pdb, r.db, `From item Retrieve name Order By name.`)
 }
 
+// TestFollowerTxReadsAppliedPages pins what a read-only transaction on a
+// follower sees across an apply. Replicated groups land without a new
+// commit stamp, so the transaction's private snapshot is not isolated
+// from them: after an apply its statements read the applied pages
+// (through the structure roots it opened before). In particular no
+// pooled probe may answer from a leaf copy it read before the apply —
+// the index leaf held from the first lookup brackets item 51 but
+// predates it.
+func TestFollowerTxReadsAppliedPages(t *testing.T) {
+	pdb, pub, paddr := openPrimary(t, 0)
+	if err := pdb.DefineSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	// Enough items that the optimizer probes the item-no index.
+	for i := 2; i <= 100; i += 2 {
+		mustExec(t, pdb, fmt.Sprintf(`Insert item (item-no := %d, name := "item %03d").`, i, i))
+	}
+	r := openFollower(t, t.TempDir(), paddr)
+	waitReady(t, r.f)
+	waitConverged(t, pdb, r.db, `From item Retrieve name Where item-no = 100.`)
+
+	ctx := context.Background()
+	tx, err := r.db.Begin(ctx, sim.ReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if res, err := tx.Query(ctx, `From item Retrieve name Where item-no = 50.`); err != nil || res.NumRows() != 1 {
+		t.Fatalf("first lookup in the follower transaction: %v, %v", res, err)
+	}
+	mustExec(t, pdb, `Insert item (item-no := 51, name := "item 051").`)
+	// Wait on the applied position rather than on follower queries, which
+	// would cycle the pooled probes through other read views.
+	deadline := time.Now().Add(30 * time.Second)
+	for r.f.Status().Replicas[0].Pos < pub.Latest() {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never applied the insert")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	res, err := tx.Query(ctx, `From item Retrieve name Where item-no = 51.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != 1 {
+		t.Fatalf("follower transaction after an apply read %d rows for item 51, want the applied row", res.NumRows())
+	}
+}
+
 // TestFollowerResnapshot starves the ring so a lagging follower must be
 // re-seeded with a fresh snapshot mid-stream, and a stopped follower must
 // be re-seeded on reconnect.
@@ -433,5 +483,45 @@ func TestMultiClientSpraysReads(t *testing.T) {
 	}
 	if res.Format() != want.Format() {
 		t.Fatal("failover read diverged")
+	}
+}
+
+// TestReplHelloPipelinedAck sends a follower's ReplHello and its first
+// ack in one write. The server's session reads frames through a buffered
+// reader, which may already hold the ack when the connection turns into a
+// replication stream; the stream's ack reader must receive it.
+func TestReplHelloPipelinedAck(t *testing.T) {
+	pdb, pub, paddr := openPrimary(t, 0)
+	if err := pdb.DefineSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.DialTimeout("tcp", paddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, wire.THello, wire.EncodeHello()); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(nc, 0); err != nil || typ != wire.THello {
+		t.Fatalf("handshake: %v %v", typ, err)
+	}
+	const ackPos = 777
+	var both bytes.Buffer
+	wire.WriteFrame(&both, wire.TReplHello, wire.EncodeReplHello(wire.ReplHello{Epoch: pub.Epoch(), Run: pub.Run()}))
+	wire.WriteFrame(&both, wire.TReplAck, wire.EncodeReplAck(ackPos))
+	if _, err := nc.Write(both.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := pub.Status()
+		if len(st.Replicas) == 1 && st.Replicas[0].Pos == ackPos {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pipelined ack never reached the stream: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

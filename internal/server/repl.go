@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -29,7 +30,10 @@ const replSnapshotChunk = 256 << 10
 // the connection dies or the server shuts down. A reader goroutine
 // consumes the follower's acks for lag accounting; acks never gate
 // commits.
-func (s *Server) serveReplication(conn net.Conn, payload []byte) {
+//
+// br is the session's buffered reader: the follower's acks are read
+// through it, so bytes it buffered past the ReplHello are not lost.
+func (s *Server) serveReplication(conn net.Conn, br *bufio.Reader, payload []byte) {
 	pub := s.publisher()
 	if pub == nil {
 		s.errors.Add(1)
@@ -81,7 +85,7 @@ func (s *Server) serveReplication(conn net.Conn, payload []byte) {
 		defer closeStop()
 		conn.SetReadDeadline(time.Time{})
 		for {
-			t, p, err := wire.ReadFrame(conn, s.cfg.MaxFrame)
+			t, p, err := wire.ReadFrame(br, s.cfg.MaxFrame)
 			if err != nil {
 				return
 			}

@@ -11,9 +11,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"strings"
@@ -298,7 +300,11 @@ func (s *Server) handle(conn net.Conn) {
 			"duration", time.Since(start))
 	}()
 
-	if err := s.handshake(conn); err != nil {
+	// One buffered reader per session: a frame's header and payload (and
+	// any frame pipelined behind it) arrive in one read syscall. Deadlines
+	// stay on conn, which the reader reads through.
+	br := bufio.NewReader(conn)
+	if err := s.handshake(conn, br); err != nil {
 		s.errors.Add(1)
 		s.log.Warn("handshake failed", "remote", conn.RemoteAddr().String(), "err", err)
 		return
@@ -315,7 +321,7 @@ func (s *Server) handle(conn net.Conn) {
 		if s.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		t, payload, err := s.readFrame(conn, &rbuf)
+		t, payload, err := s.readFrame(br, &rbuf)
 		if err != nil {
 			// EOF and idle timeouts are the normal end of a session;
 			// anything decodable as a protocol violation gets a last
@@ -328,8 +334,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if t == wire.TReplHello {
 			// The connection becomes a replication stream and never
-			// returns to request/response.
-			s.serveReplication(conn, payload)
+			// returns to request/response. The stream keeps reading
+			// through br, which may already hold the follower's next frame.
+			s.serveReplication(conn, br, payload)
 			return
 		}
 		if !s.serveRequest(conn, sess, t, payload) {
@@ -338,11 +345,11 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// handshake performs the Hello exchange.
-func (s *Server) handshake(conn net.Conn) error {
+// handshake performs the Hello exchange, reading through br.
+func (s *Server) handshake(conn net.Conn, br *bufio.Reader) error {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
-	t, payload, err := s.readFrame(conn, nil)
+	t, payload, err := s.readFrame(br, nil)
 	if err != nil {
 		return err
 	}
@@ -402,14 +409,18 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 	}
 	s.inflight.Add(1)
 	start := time.Now()
-	rt, resp := func() (wire.Type, []byte) {
+	// The response is encoded straight into a pooled frame behind its
+	// reserved header, written once, and recycled.
+	out := wire.NewFrame()
+	defer out.Free()
+	rt := func() wire.Type {
 		defer s.inflight.Done()
 		if gated {
 			// Free the slot before the response is written: a client that
 			// has read its reply may send its next request at once.
 			defer func() { <-s.slots }()
 		}
-		return s.dispatch(sess, t, payload, reqID)
+		return s.dispatch(sess, t, payload, reqID, out)
 	}()
 	d := time.Since(start)
 	if s.hist != nil {
@@ -424,18 +435,23 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 		s.log.Warn("slow request", "remote", conn.RemoteAddr().String(),
 			"type", t.String(), "duration", d, "request", fmt.Sprintf("%016x", reqID))
 	}
-	if err := s.writeFrame(conn, rt, resp); err != nil {
+	if err := s.sendFrame(conn, rt, out); err != nil {
 		s.log.Warn("response write failed", "remote", conn.RemoteAddr().String(), "err", err)
 		return false
 	}
 	return true
 }
 
-// dispatch executes one request frame against the database. Query and
+// dispatch executes one request frame against the database, appends the
+// response payload to out and returns the response type. Query and
 // Exec route through the session's transaction when one is open, so a
 // connection's statements between TBegin and TCommit commit or roll back
 // as a unit.
-func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint64) (wire.Type, []byte) {
+func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint64, out *wire.Frame) wire.Type {
+	reply := func(rt wire.Type, p []byte) wire.Type {
+		out.B = append(out.B, p...)
+		return rt
+	}
 	ctx := obs.WithRequestID(context.Background(), reqID)
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -455,20 +471,20 @@ func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint
 		}
 		readOnly, fencedBy := s.role()
 		if fencedBy != 0 {
-			return wire.TError, wire.EncodeError(wire.CodeFenced,
-				fmt.Sprintf("fenced by epoch %d; a newer primary owns this database", fencedBy))
+			return reply(wire.TError, wire.EncodeError(wire.CodeFenced,
+				fmt.Sprintf("fenced by epoch %d; a newer primary owns this database", fencedBy)))
 		}
 		if readOnly {
-			return wire.TError, wire.EncodeError(wire.CodeReadOnly,
-				"replica is read-only; send writes to the primary")
+			return reply(wire.TError, wire.EncodeError(wire.CodeReadOnly,
+				"replica is read-only; send writes to the primary"))
 		}
 	}
 	switch t {
 	case wire.TPing:
-		return wire.TPong, nil
+		return reply(wire.TPong, nil)
 	case wire.TBegin:
 		if sess.tx != nil {
-			return wire.TError, wire.EncodeError(wire.CodeTxState, "a transaction is already open on this connection")
+			return reply(wire.TError, wire.EncodeError(wire.CodeTxState, "a transaction is already open on this connection"))
 		}
 		// serveRequest peeled the request ID; what remains is the optional
 		// version-4 flag byte.
@@ -480,34 +496,34 @@ func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint
 				opts = append(opts, sim.ReadOnly())
 			}
 		default:
-			return wire.TError, wire.EncodeError(wire.CodeProtocol, "bad begin flags")
+			return reply(wire.TError, wire.EncodeError(wire.CodeProtocol, "bad begin flags"))
 		}
 		tx, err := s.db.Begin(ctx, opts...)
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
 		sess.tx = tx
-		return wire.TOK, nil
+		return reply(wire.TOK, nil)
 	case wire.TCommit:
 		if sess.tx == nil {
-			return wire.TError, wire.EncodeError(wire.CodeTxState, "no transaction is open on this connection")
+			return reply(wire.TError, wire.EncodeError(wire.CodeTxState, "no transaction is open on this connection"))
 		}
 		err := sess.tx.Commit()
 		sess.tx = nil
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TOK, nil
+		return reply(wire.TOK, nil)
 	case wire.TRollback:
 		if sess.tx == nil {
-			return wire.TError, wire.EncodeError(wire.CodeTxState, "no transaction is open on this connection")
+			return reply(wire.TError, wire.EncodeError(wire.CodeTxState, "no transaction is open on this connection"))
 		}
 		err := sess.tx.Rollback()
 		sess.tx = nil
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TOK, nil
+		return reply(wire.TOK, nil)
 	case wire.TQuery:
 		var r *sim.Result
 		var err error
@@ -517,15 +533,16 @@ func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint
 			r, err = s.db.QueryCtx(ctx, string(payload))
 		}
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TResult, wire.EncodeResult(r)
+		out.B = wire.AppendResult(out.B, r)
+		return wire.TResult
 	case wire.TQueryTrace:
 		r, tr, err := s.db.QueryTraceCtx(ctx, string(payload))
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TResultTrace, wire.EncodeResultTrace(r, wire.FromQueryTrace(tr))
+		return reply(wire.TResultTrace, wire.EncodeResultTrace(r, wire.FromQueryTrace(tr)))
 	case wire.TExec:
 		var n int
 		var err error
@@ -535,58 +552,58 @@ func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint
 			n, err = s.db.ExecCtx(ctx, string(payload))
 		}
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TExecOK, wire.EncodeCount(n)
+		return reply(wire.TExecOK, wire.EncodeCount(n))
 	case wire.TExplain:
 		text, err := s.db.ExplainCtx(ctx, string(payload))
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TExplainOK, []byte(text)
+		return reply(wire.TExplainOK, []byte(text))
 	case wire.TCheckpoint:
 		if sess.tx != nil {
 			// The checkpoint would wait on the write latch this session's
 			// own transaction may hold — refuse instead of deadlocking.
-			return wire.TError, wire.EncodeError(wire.CodeTxState, "Checkpoint inside a transaction")
+			return reply(wire.TError, wire.EncodeError(wire.CodeTxState, "Checkpoint inside a transaction"))
 		}
 		if err := s.db.Checkpoint(); err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TOK, nil
+		return reply(wire.TOK, nil)
 	case wire.TTraceCommit:
 		if sess.tx == nil {
-			return wire.TError, wire.EncodeError(wire.CodeTxState, "no transaction is open on this connection")
+			return reply(wire.TError, wire.EncodeError(wire.CodeTxState, "no transaction is open on this connection"))
 		}
 		ct, err := sess.tx.CommitTraced(ctx)
 		sess.tx = nil
 		if err != nil {
-			return wire.TError, encodeErr(ctx, err)
+			return reply(wire.TError, encodeErr(ctx, err))
 		}
-		return wire.TCommitTraced, wire.EncodeCommitInfo(wire.FromCommitTrace(ct))
+		return reply(wire.TCommitTraced, wire.EncodeCommitInfo(wire.FromCommitTrace(ct)))
 	case wire.TIntrospect:
 		if len(payload) != 1 {
-			return wire.TError, wire.EncodeError(wire.CodeProtocol, "Introspect wants a 1-byte kind")
+			return reply(wire.TError, wire.EncodeError(wire.CodeProtocol, "Introspect wants a 1-byte kind"))
 		}
 		switch payload[0] {
 		case wire.IntrospectFlight:
-			return wire.TIntrospectOK, []byte(s.db.FlightRecorder().Dump())
+			return reply(wire.TIntrospectOK, []byte(s.db.FlightRecorder().Dump()))
 		case wire.IntrospectHot:
-			return wire.TIntrospectOK, []byte(s.db.HotReport())
+			return reply(wire.TIntrospectOK, []byte(s.db.HotReport()))
 		default:
-			return wire.TError, wire.EncodeError(wire.CodeProtocol,
-				fmt.Sprintf("unknown introspection kind %d", payload[0]))
+			return reply(wire.TError, wire.EncodeError(wire.CodeProtocol,
+				fmt.Sprintf("unknown introspection kind %d", payload[0])))
 		}
 	case wire.TStats:
-		return wire.TStatsOK, wire.EncodeServerStats(s.Stats())
+		return reply(wire.TStatsOK, wire.EncodeServerStats(s.Stats()))
 	case wire.TReplStatus:
-		return wire.TReplStatusOK, wire.EncodeReplStatus(s.replStatus())
+		return reply(wire.TReplStatusOK, wire.EncodeReplStatus(s.replStatus()))
 	case wire.TPromote:
-		return s.handlePromote()
+		return reply(s.handlePromote())
 	case wire.TRetarget:
-		return s.handleRetarget(payload)
+		return reply(s.handleRetarget(payload))
 	default:
-		return wire.TError, wire.EncodeError(wire.CodeProtocol, fmt.Sprintf("unexpected frame %v", t))
+		return reply(wire.TError, wire.EncodeError(wire.CodeProtocol, fmt.Sprintf("unexpected frame %v", t)))
 	}
 }
 
@@ -615,12 +632,12 @@ func encodeErr(ctx context.Context, err error) []byte {
 // completion before the next read (and every dispatch arm copies what it
 // keeps), so one buffer per connection serves every frame without
 // allocating.
-func (s *Server) readFrame(conn net.Conn, buf *[]byte) (wire.Type, []byte, error) {
+func (s *Server) readFrame(r io.Reader, buf *[]byte) (wire.Type, []byte, error) {
 	var b []byte
 	if buf != nil {
 		b = *buf
 	}
-	t, payload, err := wire.ReadFrameBuf(conn, s.cfg.MaxFrame, b)
+	t, payload, err := wire.ReadFrameBuf(r, s.cfg.MaxFrame, b)
 	if err == nil {
 		s.bytesIn.Add(uint64(5 + len(payload)))
 		if buf != nil && cap(payload) > cap(b) {
@@ -631,13 +648,23 @@ func (s *Server) readFrame(conn net.Conn, buf *[]byte) (wire.Type, []byte, error
 }
 
 func (s *Server) writeFrame(conn net.Conn, t wire.Type, payload []byte) error {
+	f := wire.NewFrame()
+	f.B = append(f.B, payload...)
+	err := s.sendFrame(conn, t, f)
+	f.Free()
+	return err
+}
+
+// sendFrame writes the assembled frame f as type t under the write
+// deadline.
+func (s *Server) sendFrame(conn net.Conn, t wire.Type, f *wire.Frame) error {
 	if s.cfg.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	err := wire.WriteFrame(conn, t, payload)
+	err := f.Send(conn, t)
 	if err == nil {
-		s.bytesOut.Add(uint64(5 + len(payload)))
+		s.bytesOut.Add(uint64(len(f.B)))
 	}
 	return err
 }

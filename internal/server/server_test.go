@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -395,4 +396,31 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestPipelinedFramesOneWrite sends two requests in a single write: the
+// session's buffered reader must hand both frames to dispatch, in order,
+// and each gets its reply.
+func TestPipelinedFramesOneWrite(t *testing.T) {
+	db := testDB(t)
+	_, addr := startServer(t, db, server.Config{})
+	nc := dialRaw(t, addr)
+	const q = `From student Retrieve name Where student-nbr = 1003.`
+	var both bytes.Buffer
+	wire.WriteFrame(&both, wire.TQuery, wire.EncodeRequest(1, []byte(q)))
+	wire.WriteFrame(&both, wire.TPing, nil)
+	if _, err := nc.Write(both.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := wire.ReadFrame(nc, 0)
+	if err != nil || typ != wire.TResult {
+		t.Fatalf("first reply: %v %v", typ, err)
+	}
+	res, err := wire.DecodeResult(payload)
+	if err != nil || res.NumRows() != 1 || res.Rows()[0][0].String() != "Student 02" {
+		t.Fatalf("first reply decoded to %v, %v", res, err)
+	}
+	if typ, _, err := wire.ReadFrame(nc, 0); err != nil || typ != wire.TPong {
+		t.Fatalf("second reply: %v %v", typ, err)
+	}
 }

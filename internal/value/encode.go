@@ -3,6 +3,8 @@ package value
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Binary encoding of values for the storage substrate. A value is encoded
@@ -84,6 +86,31 @@ func Decode(b []byte) (Value, []byte, error) {
 	return Null, nil, fmt.Errorf("value: decode: unknown kind tag %d", k)
 }
 
+// encodedLen returns the length of v's binary encoding: len(Append(nil, v)).
+func encodedLen(v Value) int {
+	switch v.kind {
+	case KindInt, KindDate, KindBool, KindSurrogate:
+		return 1 + varintLen(v.i)
+	case KindNumber:
+		return 9
+	case KindString:
+		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
+	case KindSymbolic:
+		return 1 + varintLen(v.i) + uvarintLen(uint64(len(v.s))) + len(v.s)
+	}
+	return 1
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
+}
+
 // AppendRow encodes a slice of values prefixed with its length.
 func AppendRow(dst []byte, row []Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
@@ -93,8 +120,19 @@ func AppendRow(dst []byte, row []Value) []byte {
 	return dst
 }
 
-// DecodeRow decodes a length-prefixed slice of values.
-func DecodeRow(b []byte) ([]Value, []byte, error) {
+// RowLen returns the length of row's encoding: len(AppendRow(nil, row)).
+func RowLen(row []Value) int {
+	n := uvarintLen(uint64(len(row)))
+	for _, v := range row {
+		n += encodedLen(v)
+	}
+	return n
+}
+
+// DecodeRow decodes a length-prefixed slice of values, appending them to
+// dst: callers decoding many rows pass one shared backing array and slice
+// each row out of it.
+func DecodeRow(dst []Value, b []byte) ([]Value, []byte, error) {
 	n, ln := binary.Uvarint(b)
 	if ln <= 0 {
 		return nil, nil, fmt.Errorf("value: decode row: bad length")
@@ -107,7 +145,7 @@ func DecodeRow(b []byte) ([]Value, []byte, error) {
 	if capHint > uint64(len(b)) {
 		capHint = uint64(len(b))
 	}
-	row := make([]Value, 0, capHint)
+	dst = slices.Grow(dst, int(capHint))
 	for i := uint64(0); i < n; i++ {
 		var v Value
 		var err error
@@ -115,7 +153,7 @@ func DecodeRow(b []byte) ([]Value, []byte, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("value: decode row field %d: %w", i, err)
 		}
-		row = append(row, v)
+		dst = append(dst, v)
 	}
-	return row, b, nil
+	return dst, b, nil
 }

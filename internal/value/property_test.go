@@ -50,7 +50,7 @@ func randomValue(r *rand.Rand) Value {
 	case 2:
 		return NewNumber(r.NormFloat64() * 1e6)
 	case 3:
-		b := make([]byte, r.Intn(40))
+		b := make([]byte, r.Intn(300))
 		r.Read(b)
 		return NewString(string(b))
 	case 4:
@@ -64,7 +64,8 @@ func randomValue(r *rand.Rand) Value {
 	}
 }
 
-// Property: encode/decode round-trips arbitrary rows.
+// Property: encode/decode round-trips arbitrary rows, and RowLen predicts
+// the encoded length exactly.
 func TestRowCodecProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 500; iter++ {
@@ -74,7 +75,10 @@ func TestRowCodecProperty(t *testing.T) {
 			row[i] = randomValue(r)
 		}
 		buf := AppendRow(nil, row)
-		got, rest, err := DecodeRow(buf)
+		if RowLen(row) != len(buf) {
+			t.Fatalf("iter %d: RowLen %d, encoding is %d bytes", iter, RowLen(row), len(buf))
+		}
+		got, rest, err := DecodeRow(nil, buf)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}

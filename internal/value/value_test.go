@@ -169,7 +169,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 func TestEncodeRowRoundTrip(t *testing.T) {
 	row := []Value{NewInt(1), Null, NewString("x"), NewSymbolic("BS", 0)}
 	buf := AppendRow(nil, row)
-	got, rest, err := DecodeRow(buf)
+	got, rest, err := DecodeRow(nil, buf)
 	if err != nil || len(rest) != 0 || len(got) != len(row) {
 		t.Fatalf("DecodeRow: %v %v %d", got, err, len(rest))
 	}

@@ -48,6 +48,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})                // zero-length frame
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x20}) // absurd length
 	f.Add(frame(TResult, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}))
+	// Hostile result headers: a huge declared row count, and row and
+	// column counts whose product overflows 64 bits.
+	f.Add(frame(TResult, []byte{0x02, 0x01, 'a', 0x01, 'b', 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0x02, 0x00, 0x00}))
+	f.Add(frame(TResult, []byte{0x03, 0x01, 'a', 0x01, 'b', 0x01, 'c',
+		0xAB, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0x55, 0x03, 0x00, 0x00, 0x00}))
 	f.Add(frame(Type(0xEE), []byte("unknown type")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -56,8 +56,14 @@ func main() {
 		"stats":          frame(wire.TStatsOK, wire.EncodeServerStats(wire.ServerStats{Connections: 8, Active: 2, Requests: 640, BytesIn: 1 << 20, BytesOut: 9, Errors: 1})),
 		"truncated":      frame(wire.TResult, wire.EncodeResult(res))[:20],
 		"hostile-length": {0xFF, 0xFF, 0xFF, 0xFE, byte(wire.TResult), 1, 2, 3},
-		"repl-hello":     frame(wire.TReplHello, wire.EncodeReplHello(wire.ReplHello{Epoch: 1<<63 | 9, Run: 1 << 62, Pos: 1 << 33})),
-		"repl-ack":       frame(wire.TReplAck, wire.EncodeReplAck(1<<40)),
+		// Result headers declaring a huge row count, and row and column
+		// counts whose product overflows 64 bits.
+		"result-hostile-rows": frame(wire.TResult, []byte{0x02, 0x01, 'a', 0x01, 'b',
+			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0x02, 0x00, 0x00}),
+		"result-rows-overflow": frame(wire.TResult, []byte{0x03, 0x01, 'a', 0x01, 'b', 0x01, 'c',
+			0xAB, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0x55, 0x03, 0x00, 0x00, 0x00}),
+		"repl-hello": frame(wire.TReplHello, wire.EncodeReplHello(wire.ReplHello{Epoch: 1<<63 | 9, Run: 1 << 62, Pos: 1 << 33})),
+		"repl-ack":   frame(wire.TReplAck, wire.EncodeReplAck(1<<40)),
 		"repl-snapshot": frame(wire.TReplSnapshot, wire.EncodeReplSnapshot(wire.ReplSnapshot{
 			Epoch: 9, Run: 0xF00D, Pos: 17, Gen: 2, Total: 1 << 16, Offset: 4096, Chunk: bytes.Repeat([]byte{0xA5}, 512)})),
 		"repl-frames": frame(wire.TReplFrames, wire.EncodeReplFrames(wire.ReplFrames{

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"sim/internal/exec"
 	"sim/internal/value"
@@ -25,13 +26,30 @@ import (
 const maxGroupDepth = 512
 
 // EncodeResult builds a TResult payload from an executed query result.
+// The payload is allocated once, at its exact size, and is the caller's.
 func EncodeResult(r *exec.Result) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(r.Names)))
+	return AppendResult(nil, r)
+}
+
+// AppendResult appends a TResult payload to b. The names and rows are
+// sized before encoding, so b grows at most once for them (a STRUCTURE
+// tree may grow it again). The server appends into a pooled Frame, so a
+// steady stream of results encodes without allocating.
+func AppendResult(b []byte, r *exec.Result) []byte {
+	rows := r.Rows()
+	n := binary.MaxVarintLen64 * 4
+	for _, name := range r.Names {
+		n += binary.MaxVarintLen64 + len(name)
+	}
+	for _, row := range rows {
+		n += value.RowLen(row)
+	}
+	b = slices.Grow(b, n)
+	b = binary.AppendUvarint(b, uint64(len(r.Names)))
 	for _, n := range r.Names {
 		b = binary.AppendUvarint(b, uint64(len(n)))
 		b = append(b, n...)
 	}
-	rows := r.Rows()
 	b = binary.AppendUvarint(b, uint64(len(rows)))
 	for _, row := range rows {
 		b = value.AppendRow(b, row)
@@ -84,15 +102,26 @@ func DecodeResult(b []byte) (*exec.Result, error) {
 		return nil, fmt.Errorf("wire: result: bad row count")
 	}
 	b = b[n:]
+	// Every row slices one backing array, sized for nrows full rows of
+	// ncols values but never past the payload length (each value is at
+	// least one byte). Each factor is bounded before they are multiplied.
 	rows := make([][]value.Value, 0, capHint(nrows, b))
+	cells := len(b)
+	if bound := uint64(len(b)); nrows <= bound && ncols <= bound && (ncols == 0 || nrows <= bound/ncols) {
+		cells = int(nrows * ncols)
+	}
+	backing := make([]value.Value, 0, cells)
 	for i := uint64(0); i < nrows; i++ {
-		var row []value.Value
+		start := len(backing)
 		var err error
-		row, b, err = value.DecodeRow(b)
+		backing, b, err = value.DecodeRow(backing, b)
 		if err != nil {
 			return nil, fmt.Errorf("wire: result row %d: %w", i, err)
 		}
-		rows = append(rows, row)
+		// A full slice expression: appending to one row reallocates it
+		// instead of overwriting its neighbor. A hostile row wider than
+		// ncols regrows backing; earlier rows keep the old array.
+		rows = append(rows, backing[start:len(backing):len(backing)])
 	}
 	var stats exec.Stats
 	inst, n := binary.Varint(b)

@@ -166,33 +166,54 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("sim: remote %s error: %s", e.Code, e.Msg) }
 
-// writeBufs recycles the header+payload staging buffers WriteFrame uses
-// so steady-state framing stops allocating per message. Buffers that grew
-// past writeBufMax are dropped instead of pooled, keeping one huge result
-// frame from pinning its buffer for the life of the process.
-var writeBufs = sync.Pool{New: func() any { return new(frameBuf) }}
+// Frame is an outgoing frame assembled in place: B starts with the five
+// header bytes reserved, and the payload is appended after them. Send
+// fills in the header and writes B with a single Write, so a payload
+// encoded into a Frame is never copied again on its way to the socket.
+// Frames come from a pool (NewFrame) and go back to it (Free) once sent.
+type Frame struct {
+	B []byte
+}
 
-type frameBuf struct{ b []byte }
+// maxPooledFrame caps the frames Free keeps: one huge result frame must
+// not pin its buffer for the life of the process.
+const maxPooledFrame = 1 << 20
 
-const writeBufMax = 1 << 20
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
+// NewFrame returns an empty pooled frame: B holds only the five reserved
+// header bytes (length and type).
+func NewFrame() *Frame {
+	f := framePool.Get().(*Frame)
+	f.B = append(f.B[:0], 0, 0, 0, 0, 0)
+	return f
+}
+
+// Send fills in the header for type t and writes the whole frame in one
+// Write call.
+func (f *Frame) Send(w io.Writer, t Type) error {
+	binary.BigEndian.PutUint32(f.B, uint32(len(f.B)-4))
+	f.B[4] = byte(t)
+	_, err := w.Write(f.B)
+	return err
+}
+
+// Free returns f to the pool, unless it grew past maxPooledFrame. f and
+// its bytes must not be used afterwards.
+func (f *Frame) Free() {
+	if cap(f.B) <= maxPooledFrame {
+		framePool.Put(f)
+	}
+}
 
 // WriteFrame writes one frame. Payload may be nil. The frame is staged in
-// a pooled buffer and handed to w in a single Write call, so the payload
+// a pooled Frame and handed to w in a single Write call, so the payload
 // is not retained past the call.
 func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	fb := writeBufs.Get().(*frameBuf)
-	need := 5 + len(payload)
-	if cap(fb.b) < need {
-		fb.b = make([]byte, need)
-	}
-	buf := fb.b[:need]
-	binary.BigEndian.PutUint32(buf, uint32(1+len(payload)))
-	buf[4] = byte(t)
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
-	if cap(fb.b) <= writeBufMax {
-		writeBufs.Put(fb)
-	}
+	f := NewFrame()
+	f.B = append(f.B, payload...)
+	err := f.Send(w, t)
+	f.Free()
 	return err
 }
 

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -170,4 +173,95 @@ func TestDecodeResultHostileLengths(t *testing.T) {
 	if _, err := DecodeResult(b); err == nil {
 		t.Fatal("hostile column count accepted")
 	}
+}
+
+// hostileRowHeader encodes a result header naming ncols columns and
+// declaring nrows rows, followed by the given row bytes.
+func hostileRowHeader(ncols int, nrows uint64, rows []byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(ncols))
+	for i := 0; i < ncols; i++ {
+		b = append(b, 1, 'c')
+	}
+	b = binary.AppendUvarint(b, nrows)
+	return append(b, rows...)
+}
+
+// TestDecodeResultHostileRowCounts: declared row counts that are huge, or
+// whose product with the column count overflows, must fail cleanly, and
+// the shared row backing must stay bounded by the payload length.
+func TestDecodeResultHostileRowCounts(t *testing.T) {
+	oneRow := value.AppendRow(nil, []value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(3)})
+	cases := map[string][]byte{
+		"huge rows":             hostileRowHeader(3, 1<<62, oneRow),
+		"max rows":              hostileRowHeader(3, math.MaxUint64, oneRow),
+		"product overflows":     hostileRowHeader(3, math.MaxUint64/3+1, oneRow),
+		"rows beyond payload":   hostileRowHeader(3, 1<<20, bytes.Repeat(oneRow, 4)),
+		"row wider than header": hostileRowHeader(1, 2, bytes.Repeat(oneRow, 2)),
+	}
+	for name, b := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeResult(b)
+		runtime.ReadMemStats(&after)
+		if name == "row wider than header" {
+			// Well-formed apart from the row width: decodes (trailing
+			// stats missing) to an error, never a panic.
+			if err == nil {
+				t.Fatalf("%s: accepted a payload without stats", name)
+			}
+		} else if err == nil {
+			t.Fatalf("%s: hostile row count accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: decoding %d bytes allocated %d bytes", name, len(b), grew)
+		}
+	}
+}
+
+// TestDecodedRowsIndependent: rows decoded into one backing array are
+// full slices, so appending to one row never overwrites its neighbor.
+func TestDecodedRowsIndependent(t *testing.T) {
+	out, err := DecodeResult(EncodeResult(sampleResult(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := out.Rows()
+	want := rows[1][0]
+	_ = append(rows[0], value.NewString("appended"))
+	if !rows[1][0].Equal(want) {
+		t.Fatalf("appending to row 0 overwrote row 1: %v", rows[1][0])
+	}
+}
+
+// TestFrameSendsOnce: a pooled Frame carries its header in front of the
+// payload and reaches the writer in a single Write call.
+func TestFrameSendsOnce(t *testing.T) {
+	var w countingWriter
+	f := NewFrame()
+	f.B = AppendResult(f.B, sampleResult(t))
+	want := EncodeResult(sampleResult(t))
+	if !bytes.Equal(f.B[5:], want) {
+		t.Fatal("AppendResult into a frame differs from EncodeResult")
+	}
+	if err := f.Send(&w, TResult); err != nil {
+		t.Fatal(err)
+	}
+	f.Free()
+	if w.writes != 1 {
+		t.Fatalf("frame took %d writes, want 1", w.writes)
+	}
+	typ, got, err := ReadFrame(&w.buf, 0)
+	if err != nil || typ != TResult || !bytes.Equal(got, want) {
+		t.Fatalf("sent frame read back as %v, %d bytes, err %v", typ, len(got), err)
+	}
+}
+
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
 }
